@@ -7,9 +7,10 @@
 package asn
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -40,15 +41,53 @@ type AS struct {
 func (a *AS) String() string { return fmt.Sprintf("AS%d (%s)", a.Number, a.Name) }
 
 // Registry maps IP prefixes to ASes and answers routing-table queries.
+//
+// Announced prefixes live in one exact-match map per distinct prefix
+// length, keyed by the masked network number. Lookup probes the maps
+// longest length first, so a query costs one masked map probe per
+// length (a handful) instead of a scan over every prefix. Lengths
+// order as net.IPMask.Size reports them, so an IPv4-mapped IPv6 prefix
+// such as ::ffff:10.0.0.0/104 ranks as a /104 while matching IPv4
+// addresses as a /8, exactly as a net.IPNet.Contains scan in that order
+// would. Within one length the first announcement of a prefix wins.
 type Registry struct {
-	mu       sync.RWMutex
-	ases     map[uint32]*AS
-	prefixes []prefixEntry // sorted by prefix length descending for LPM
+	mu     sync.RWMutex
+	ases   map[uint32]*AS
+	tables []routeTable // by prefix length, longest first
 }
 
-type prefixEntry struct {
-	net *net.IPNet
-	asn uint32
+// routeTable holds the announced prefixes of one length and family.
+type routeTable struct {
+	ones   int  // prefix length as announced (net.IPMask.Size)
+	v4     bool // the prefixes match IPv4 addresses (IPv4-mapped included)
+	mask   addrKey
+	routes map[addrKey]uint32
+}
+
+// addrKey is an address as two big-endian words; an IPv4 address sits
+// in the low 32 bits of lo.
+type addrKey struct{ hi, lo uint64 }
+
+func (k addrKey) and(m addrKey) addrKey { return addrKey{k.hi & m.hi, k.lo & m.lo} }
+
+// wordsOf packs a 4- or 16-byte address or mask into an addrKey.
+func wordsOf(b []byte) addrKey {
+	if len(b) == net.IPv4len {
+		return addrKey{lo: uint64(binary.BigEndian.Uint32(b))}
+	}
+	return addrKey{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])}
+}
+
+// keyOf converts an address to its key and family. ok is false for a
+// byte slice that is neither an IPv4 nor an IPv6 address.
+func keyOf(ip net.IP) (k addrKey, v4, ok bool) {
+	if ip4 := ip.To4(); ip4 != nil {
+		return wordsOf(ip4), true, true
+	}
+	if len(ip) != net.IPv6len {
+		return addrKey{}, false, false
+	}
+	return wordsOf(ip), false, true
 }
 
 // NewRegistry returns an empty registry.
@@ -81,25 +120,49 @@ func (r *Registry) Announce(cidr string, asn uint32) error {
 	if err != nil {
 		return fmt.Errorf("asn: bad prefix %q: %w", cidr, err)
 	}
+	ones, _ := ipnet.Mask.Size()
+	// The network number and mask net.IPNet.Contains compares against:
+	// an IPv4-mapped network matches IPv4 addresses under the mask's low
+	// 32 bits.
+	network, mask := ipnet.IP, ipnet.Mask
+	if ip4 := network.To4(); ip4 != nil {
+		network = ip4
+		if len(mask) == net.IPv6len {
+			mask = mask[12:]
+		}
+	}
+	v4 := len(network) == net.IPv4len
+	key := wordsOf(network).and(wordsOf(mask))
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.prefixes = append(r.prefixes, prefixEntry{net: ipnet, asn: asn})
-	// Keep longest prefixes first so Lookup's first hit is the best match.
-	sort.SliceStable(r.prefixes, func(i, j int) bool {
-		li, _ := r.prefixes[i].net.Mask.Size()
-		lj, _ := r.prefixes[j].net.Mask.Size()
-		return li > lj
-	})
+	i := 0
+	for i < len(r.tables) && (r.tables[i].ones > ones || r.tables[i].ones == ones && r.tables[i].v4 != v4) {
+		i++
+	}
+	if i == len(r.tables) || r.tables[i].ones != ones {
+		r.tables = slices.Insert(r.tables, i, routeTable{ones: ones, v4: v4, mask: wordsOf(mask), routes: make(map[addrKey]uint32)})
+	}
+	if _, dup := r.tables[i].routes[key]; !dup {
+		r.tables[i].routes[key] = asn
+	}
 	return nil
 }
 
 // Lookup returns the origin AS for ip, if any prefix covers it.
 func (r *Registry) Lookup(ip net.IP) (*AS, bool) {
+	key, v4, ok := keyOf(ip)
+	if !ok {
+		return nil, false
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for _, pe := range r.prefixes {
-		if pe.net.Contains(ip) {
-			return r.ases[pe.asn], true
+	for i := range r.tables {
+		t := &r.tables[i]
+		if t.v4 != v4 {
+			continue
+		}
+		if asn, ok := t.routes[key.and(t.mask)]; ok {
+			return r.ases[asn], true
 		}
 	}
 	return nil, false

@@ -42,11 +42,13 @@ func (u *Universe) AddZone(z *Zone) {
 	u.zones[z.Origin] = z
 }
 
-// Zone returns the zone with the given origin, or nil.
+// Zone returns the zone with the given origin, or nil. The origin is
+// normalized as NewZone normalizes it, so "Example.COM." finds the zone
+// of "example.com".
 func (u *Universe) Zone(origin string) *Zone {
 	u.mu.RLock()
 	defer u.mu.RUnlock()
-	return u.zones[strings.ToLower(origin)]
+	return u.zones[strings.ToLower(strings.TrimSuffix(origin, "."))]
 }
 
 // ZoneCount returns the number of registered zones.

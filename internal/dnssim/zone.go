@@ -10,6 +10,7 @@
 package dnssim
 
 import (
+	"math/bits"
 	"net"
 	"strings"
 	"sync"
@@ -34,6 +35,24 @@ type Zone struct {
 
 	mu   sync.RWMutex
 	sets map[rrKey][]dnsmsg.Record
+	// types has bit t set when the zone holds a record set of type t < 31;
+	// bit 31 stands for every larger type. It bounds the no-data probe.
+	// (32 bits keep a Zone in its allocation size class.)
+	types uint32
+	// wildcards is set once the zone holds a "*." owner; zones without
+	// one skip the wildcard walk.
+	wildcards bool
+}
+
+// otherTypes is the types bit for every type from 31 up.
+const otherTypes = 31
+
+// typeBit is the bit of the types mask that records qtype.
+func typeBit(qtype dnsmsg.Type) uint32 {
+	if qtype >= otherTypes {
+		return 1 << otherTypes
+	}
+	return 1 << qtype
 }
 
 // NewZone creates an empty zone with an SOA record.
@@ -62,6 +81,10 @@ func (z *Zone) Add(rr dnsmsg.Record) {
 	defer z.mu.Unlock()
 	k := rrKey{rr.Name, rr.Type}
 	z.sets[k] = append(z.sets[k], rr)
+	z.types |= typeBit(rr.Type)
+	if strings.HasPrefix(rr.Name, "*.") {
+		z.wildcards = true
+	}
 }
 
 // AddA is a convenience for A records.
@@ -81,8 +104,16 @@ func (z *Zone) AddCNAME(name, target string) {
 
 // Contains reports whether name falls inside the zone.
 func (z *Zone) Contains(name string) bool {
-	name = strings.ToLower(strings.TrimSuffix(name, "."))
-	return name == z.Origin || strings.HasSuffix(name, "."+z.Origin)
+	return z.contains(strings.ToLower(strings.TrimSuffix(name, ".")))
+}
+
+// contains is Contains for a normalized name.
+func (z *Zone) contains(name string) bool {
+	o := z.Origin
+	if len(name) == len(o) {
+		return name == o
+	}
+	return len(name) > len(o) && name[len(name)-len(o)-1] == '.' && strings.HasSuffix(name, o)
 }
 
 // Lookup resolves (name, qtype) within the zone, applying, in order:
@@ -91,7 +122,7 @@ func (z *Zone) Contains(name string) bool {
 // NOERROR/no-data when the name exists with a different type).
 func (z *Zone) Lookup(name string, qtype dnsmsg.Type) ([]dnsmsg.Record, dnsmsg.RCode) {
 	name = strings.ToLower(strings.TrimSuffix(name, "."))
-	if !z.Contains(name) {
+	if !z.contains(name) {
 		return nil, dnsmsg.RCodeRefused
 	}
 	z.mu.RLock()
@@ -105,8 +136,7 @@ func (z *Zone) Lookup(name string, qtype dnsmsg.Type) ([]dnsmsg.Record, dnsmsg.R
 		return append([]dnsmsg.Record(nil), rrs...), dnsmsg.RCodeSuccess
 	}
 	// Wildcard: replace the leftmost label with "*" at each ancestor.
-	rest := name
-	for rest != z.Origin && rest != "" {
+	for rest := name; z.wildcards && rest != z.Origin && rest != ""; {
 		i := strings.IndexByte(rest, '.')
 		if i < 0 {
 			break
@@ -128,12 +158,30 @@ func (z *Zone) Lookup(name string, qtype dnsmsg.Type) ([]dnsmsg.Record, dnsmsg.R
 		}}, dnsmsg.RCodeSuccess
 	}
 	// Name exists with other types -> NOERROR, empty answer.
-	for k := range z.sets {
-		if k.name == name {
-			return nil, dnsmsg.RCodeSuccess
-		}
+	if z.hasOwner(name) {
+		return nil, dnsmsg.RCodeSuccess
 	}
 	return nil, dnsmsg.RCodeNXDomain
+}
+
+// hasOwner reports whether the zone holds any record set owned by name,
+// probing once per type the zone holds. The caller holds z.mu.
+func (z *Zone) hasOwner(name string) bool {
+	if z.types&typeBit(otherTypes) != 0 {
+		// A type beyond the mask is held: fall back to a full scan.
+		for k := range z.sets {
+			if k.name == name {
+				return true
+			}
+		}
+		return false
+	}
+	for t := z.types; t != 0; t &= t - 1 {
+		if _, ok := z.sets[rrKey{name, dnsmsg.Type(bits.TrailingZeros32(t))}]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 func substituteOwner(rrs []dnsmsg.Record, owner string) []dnsmsg.Record {

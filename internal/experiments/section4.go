@@ -85,7 +85,7 @@ func (s *Suite) Section4() (*Section4Result, error) {
 
 	// Build the simulated Internet and the Sonar snapshot.
 	rng := rand.New(rand.NewSource(s.opts.Seed + 44))
-	universe, sonar := buildDNSWorld(rng, w, census, minCount)
+	universe, sonar := buildDNSWorld(rng, w, census, minCount, s.opts.Parallelism)
 
 	// The paper prepends labels to its 206M-entry registrable-domain
 	// list; ours is the world population grouped by suffix.
@@ -110,62 +110,105 @@ func (s *Suite) Section4() (*Section4Result, error) {
 	return res, nil
 }
 
+// Zone shapes of the simulated Internet, drawn per population domain.
+const (
+	zonePlain         uint8 = iota // apex plus the label names that exist
+	zoneWildcard                   // parked / catch-all: answers anything
+	zoneMisconfigured              // answers anything with unrouted space
+)
+
 // buildDNSWorld populates one zone per population domain and derives the
-// Sonar snapshot with the Section 4.1 overlap characteristics.
-func buildDNSWorld(rng *rand.Rand, w *ecosystem.World, census *subenum.Census, minCount uint64) (*dnssim.Universe, subenum.SonarDB) {
-	universe := dnssim.NewUniverse()
+// Sonar snapshot with the Section 4.1 overlap characteristics. Every rng
+// draw happens in one serial pass, in domain order, which records each
+// domain's zone shape as a compact plan; the zones are then built from
+// the plans on up to parallelism workers. The world is the same at every
+// parallelism.
+func buildDNSWorld(rng *rand.Rand, w *ecosystem.World, census *subenum.Census, minCount uint64, parallelism int) (*dnssim.Universe, subenum.SonarDB) {
 	sonar := make(subenum.SonarDB)
 
-	// Candidate labels above threshold, from the census.
+	// Candidate labels above threshold, from the census, with the
+	// probability that a domain operates each.
 	var labels []string
+	var exists []float64
 	for _, kv := range census.Labels.TopK(census.Labels.Len()) {
 		if kv.Count < minCount {
 			break
 		}
+		p, ok := labelExistence[kv.Key]
+		if !ok {
+			p = defaultLabelExistence
+		}
 		labels = append(labels, kv.Key)
+		exists = append(exists, p)
 	}
 
+	// The plan: kinds[i] is domain i's zone shape, and for a plain zone
+	// names[offsets[i]:offsets[i+1]] are its existing label names, each
+	// packed as label index << 1 | 1 if it is reached through a CNAME.
+	kinds := make([]uint8, len(w.Domains))
+	offsets := make([]int, len(w.Domains)+1)
+	var names []uint32
 	for i, d := range w.Domains {
-		z := dnssim.NewZone(d.Name)
-		ip := net.IPv4(100, 64+byte(i>>16), byte(i>>8), byte(i))
 		inSonar := rng.Float64() < 0.82
-		addName := func(fqdn string) {
-			if rng.Float64() < pCNAMEChain {
-				target := "edge." + d.Name
-				z.AddCNAME(fqdn, target)
-				z.AddA(target, ip)
-			} else {
-				z.AddA(fqdn, ip)
-			}
-			if inSonar && rng.Float64() < 0.04 {
-				sonar[fqdn] = struct{}{}
-			}
-		}
 		switch {
 		case rng.Float64() < pWildcardZone:
-			// Parked / catch-all zone: answers anything.
-			z.DefaultA = ip
+			kinds[i] = zoneWildcard
 		case rng.Float64() < pMisconfigured/(1-pWildcardZone):
-			// Misconfigured: answers with unrouted space.
-			z.DefaultA = net.IPv4(8, 8, byte(i>>8), byte(i))
+			kinds[i] = zoneMisconfigured
 		default:
-			z.AddA(d.Name, ip)
-			for _, label := range labels {
-				p, ok := labelExistence[label]
-				if !ok {
-					p = defaultLabelExistence
+			for li, p := range exists {
+				if rng.Float64() >= p {
+					continue
 				}
-				if rng.Float64() < p {
-					addName(label + "." + d.Name)
+				name := uint32(li) << 1
+				if rng.Float64() < pCNAMEChain {
+					name |= 1
+				}
+				names = append(names, name)
+				if inSonar && rng.Float64() < 0.04 {
+					sonar[labels[li]+"."+d.Name] = struct{}{}
 				}
 			}
 		}
+		offsets[i+1] = len(names)
 		if inSonar {
 			sonar[d.Name] = struct{}{}
 			if rng.Float64() < 0.1 {
 				sonar["www."+d.Name] = struct{}{}
 			}
 		}
+	}
+
+	zones := make([]*dnssim.Zone, len(w.Domains))
+	chunks := ecosystem.Ranges(len(w.Domains), 1024)
+	ecosystem.ForEach(len(chunks), parallelism, func(c int) {
+		for i := chunks[c].Lo; i < chunks[c].Hi; i++ {
+			d := w.Domains[i]
+			z := dnssim.NewZone(d.Name)
+			ip := net.IPv4(100, 64+byte(i>>16), byte(i>>8), byte(i))
+			switch kinds[i] {
+			case zoneWildcard:
+				z.DefaultA = ip
+			case zoneMisconfigured:
+				z.DefaultA = net.IPv4(8, 8, byte(i>>8), byte(i))
+			default:
+				z.AddA(d.Name, ip)
+				for _, name := range names[offsets[i]:offsets[i+1]] {
+					fqdn := labels[name>>1] + "." + d.Name
+					if name&1 != 0 {
+						target := "edge." + d.Name
+						z.AddCNAME(fqdn, target)
+						z.AddA(target, ip)
+					} else {
+						z.AddA(fqdn, ip)
+					}
+				}
+			}
+			zones[i] = z
+		}
+	})
+	universe := dnssim.NewUniverse()
+	for _, z := range zones {
 		universe.AddZone(z)
 	}
 	return universe, sonar

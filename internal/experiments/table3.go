@@ -18,25 +18,29 @@ type Table3Result struct {
 
 // Table3 injects phishing-style domains into the harvested CT corpus
 // (phishing sites need certificates too) and runs the detector over the
-// combined name set.
+// combined name set. The detector scans the harvest's sharded name set in
+// place; only the injected names the harvest lacks are held separately.
 func (s *Suite) Table3() (*Table3Result, error) {
 	_, h, err := s.World()
 	if err != nil {
 		return nil, err
 	}
-	// The detector corpus is mutated (phishing names are injected), so it
-	// is built as a fresh map straight off the harvest's sharded name set.
-	corpus := make(map[string]struct{}, h.NameSet.Len())
-	h.NameSet.ForEach(func(n string) { corpus[n] = struct{}{} })
-	truth := phish.Generate(phish.GenConfig{Seed: s.opts.Seed + 55, Scale: 0.01 * s.opts.Scale}, corpus)
+	injected := make(map[string]struct{})
+	truth := phish.Generate(phish.GenConfig{Seed: s.opts.Seed + 55, Scale: 0.01 * s.opts.Scale}, injected)
+	var extra []string
+	for name := range injected {
+		if !h.NameSet.Has(name) {
+			extra = append(extra, name)
+		}
+	}
 	det := &phish.Detector{
 		Targets: append(phish.DefaultTargets(), phish.GovTarget()),
 		PSL:     phish.NewDetector().PSL,
 	}
 	return &Table3Result{
-		Report:     det.Scan(corpus),
+		Report:     det.Scan(h.NameSet, extra, s.opts.Parallelism),
 		Generated:  truth,
-		CorpusSize: len(corpus),
+		CorpusSize: h.NameSet.Len() + len(extra),
 	}, nil
 }
 

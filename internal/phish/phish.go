@@ -6,13 +6,27 @@
 // the shapes Table 3 reports (brand-prefixed free-TLD domains, combosquats
 // like "paypal.com-account-security.money", and government-taxation
 // imitations).
+//
+// The detector runs over every name of a CT harvest, nearly all of which
+// match nothing, so Check is built to reject a name cheaply. Each
+// pattern carries a literal prefilter: the longest literal that every
+// match of the pattern must contain, taken from the pattern's parsed
+// syntax tree (the longest case-sensitive literal of a top-level
+// concatenation, e.g. "paypal" for `paypal`, "microsoft" for
+// `login[-.]microsoft`). The regex runs only on names containing that
+// literal; a pattern with no such literal always runs. The public-suffix
+// lookups that the legitimate-domain exclusion and the Table 3 suffix
+// linkage need run only once some pattern has matched.
 package phish
 
 import (
 	"regexp"
+	"regexp/syntax"
 	"strings"
+	"unicode/utf8"
 
 	"ctrise/internal/dnsname"
+	"ctrise/internal/ecosystem"
 	"ctrise/internal/psl"
 	"ctrise/internal/stats"
 )
@@ -28,6 +42,11 @@ type Target struct {
 	// under them are never flagged ("subdomains of apple.com are
 	// considered legitimate Apple domains").
 	LegitDomains map[string]bool
+
+	// literals[i] is a string every match of Patterns[i] contains, or ""
+	// when there is none. A Target built without NewTarget has none, and
+	// all its patterns run on every name.
+	literals []string
 }
 
 // NewTarget compiles a target from pattern strings.
@@ -39,11 +58,55 @@ func NewTarget(service string, patterns []string, legit []string) (*Target, erro
 			return nil, err
 		}
 		t.Patterns = append(t.Patterns, re)
+		t.literals = append(t.literals, requiredLiteral(p))
 	}
 	for _, d := range legit {
 		t.LegitDomains[dnsname.Normalize(d)] = true
 	}
 	return t, nil
+}
+
+// requiredLiteral returns the longest literal that every match of the
+// regular expression expr must contain: the longest case-sensitive
+// literal among the factors of its top-level concatenation (or expr
+// itself when it is one literal). It returns "" when there is none.
+// Literals holding U+FFFD are skipped, because the regexp engine matches
+// that rune against invalid UTF-8 bytes, which strings.Contains would
+// not.
+func requiredLiteral(expr string) string {
+	re, err := syntax.Parse(expr, syntax.Perl)
+	if err != nil {
+		return ""
+	}
+	factors := []*syntax.Regexp{re}
+	if re.Op == syntax.OpConcat {
+		factors = re.Sub
+	}
+	best := ""
+	for _, f := range factors {
+		if f.Op != syntax.OpLiteral || f.Flags&syntax.FoldCase != 0 {
+			continue
+		}
+		lit := string(f.Rune)
+		if len(lit) > len(best) && !strings.ContainsRune(lit, utf8.RuneError) {
+			best = lit
+		}
+	}
+	return best
+}
+
+// matches reports whether any of the target's patterns matches name,
+// running a pattern's regex only when name contains its literal.
+func (t *Target) matches(name string) bool {
+	for i, re := range t.Patterns {
+		if i < len(t.literals) && !strings.Contains(name, t.literals[i]) {
+			continue
+		}
+		if re.MatchString(name) {
+			return true
+		}
+	}
+	return false
 }
 
 // DefaultTargets returns the five Table 3 services with the paper's
@@ -109,27 +172,27 @@ func NewDetector() *Detector {
 }
 
 // Check tests one name against all targets, returning at most one finding
-// per service.
+// per service. A name without a registrable domain is never flagged.
 func (d *Detector) Check(name string) []Finding {
 	name = dnsname.Normalize(dnsname.TrimWildcard(name))
 	if name == "" {
 		return nil
 	}
-	regDomain, err := d.PSL.RegistrableDomain(name)
-	if err != nil {
-		return nil
-	}
-	suffix := d.PSL.PublicSuffix(name)
 	var out []Finding
+	var regDomain, suffix string
 	for _, t := range d.Targets {
-		if t.LegitDomains[regDomain] {
+		if !t.matches(name) {
 			continue
 		}
-		for _, re := range t.Patterns {
-			if re.MatchString(name) {
-				out = append(out, Finding{Service: t.Service, FQDN: name, Suffix: suffix})
-				break
+		if regDomain == "" {
+			var err error
+			if regDomain, err = d.PSL.RegistrableDomain(name); err != nil {
+				return nil
 			}
+			suffix = d.PSL.PublicSuffix(name)
+		}
+		if !t.LegitDomains[regDomain] {
+			out = append(out, Finding{Service: t.Service, FQDN: name, Suffix: suffix})
 		}
 	}
 	return out
@@ -139,7 +202,7 @@ func (d *Detector) Check(name string) []Finding {
 // suffix) for the suffix-linkage observations.
 type Report struct {
 	// Unique potential phishing domains per service, deduplicated by
-	// registrable domain+name.
+	// service and normalized FQDN.
 	PerService *stats.Counter
 	// SuffixPerService counts suffixes within each service's findings.
 	SuffixPerService map[string]*stats.Counter
@@ -149,21 +212,44 @@ type Report struct {
 	Total uint64
 }
 
-// Scan runs the detector over a name corpus and aggregates the report.
-func (d *Detector) Scan(names map[string]struct{}) *Report {
+// Scan runs the detector over every name of a sharded name set plus the
+// extra names, checking names on up to parallelism workers (0 means
+// GOMAXPROCS), and aggregates the report. A name in both sources counts
+// once. The report does not depend on parallelism or on the order the
+// names are visited in.
+func (d *Detector) Scan(names *stats.StringSet, extra []string, parallelism int) *Report {
+	shards := 0
+	if names != nil {
+		shards = names.NumShards()
+	}
+	// Work item i < shards checks shard i in place; the last one checks
+	// the extra names. Findings are rare, so each item keeps its own and
+	// the merge below dedupes them.
+	found := make([][]Finding, shards+1)
+	ecosystem.ForEach(shards+1, parallelism, func(i int) {
+		check := func(name string) { found[i] = append(found[i], d.Check(name)...) }
+		if i < shards {
+			names.ForEachShard(i, check)
+			return
+		}
+		for _, name := range extra {
+			check(name)
+		}
+	})
 	r := &Report{
 		PerService:       stats.NewCounter(),
 		SuffixPerService: make(map[string]*stats.Counter),
 		Examples:         make(map[string]string),
 	}
-	seen := make(map[string]bool)
-	for name := range names {
-		for _, f := range d.Check(name) {
-			key := f.Service + "|" + f.FQDN
-			if seen[key] {
+	type key struct{ service, fqdn string }
+	seen := make(map[key]bool)
+	for _, fs := range found {
+		for _, f := range fs {
+			k := key{f.Service, f.FQDN}
+			if seen[k] {
 				continue
 			}
-			seen[key] = true
+			seen[k] = true
 			r.PerService.Inc(f.Service)
 			sc := r.SuffixPerService[f.Service]
 			if sc == nil {
@@ -171,9 +257,8 @@ func (d *Detector) Scan(names map[string]struct{}) *Report {
 				r.SuffixPerService[f.Service] = sc
 			}
 			sc.Inc(f.Suffix)
-			// Keep the lexicographically smallest finding as the example:
-			// "first seen" would follow Go's randomized map iteration
-			// order and change from run to run.
+			// Keep the lexicographically smallest finding as the example,
+			// so it does not depend on visiting order.
 			if cur, ok := r.Examples[f.Service]; !ok || f.FQDN < cur {
 				r.Examples[f.Service] = f.FQDN
 			}
@@ -195,10 +280,4 @@ func (r *Report) SuffixShare(service string, suffixes ...string) float64 {
 		hit += sc.Get(s)
 	}
 	return stats.Percent(hit, r.PerService.Get(service))
-}
-
-// normalizeJoin glues name fragments with the given separator, keeping
-// the result a valid label sequence.
-func normalizeJoin(sep string, parts ...string) string {
-	return strings.Join(parts, sep)
 }

@@ -2,7 +2,18 @@ package phish
 
 import (
 	"testing"
+
+	"ctrise/internal/stats"
 )
+
+// nameSet loads a corpus into the sharded set Scan reads.
+func nameSet(corpus map[string]struct{}) *stats.StringSet {
+	set := stats.NewStringSet(0)
+	for name := range corpus {
+		set.Add(name)
+	}
+	return set
+}
 
 func TestCheckFlagsPaperExamples(t *testing.T) {
 	d := NewDetector()
@@ -77,7 +88,7 @@ func TestScanTable3Shape(t *testing.T) {
 	truth := Generate(GenConfig{Seed: 1, Scale: 0.05}, corpus)
 
 	d := &Detector{Targets: append(DefaultTargets(), GovTarget()), PSL: NewDetector().PSL}
-	report := d.Scan(corpus)
+	report := d.Scan(nameSet(corpus), nil, 0)
 
 	// Ordering follows Table 3: Apple > PayPal >> Microsoft > Google > eBay.
 	apple := report.PerService.Get("Apple")
@@ -116,9 +127,12 @@ func TestScanDeduplicates(t *testing.T) {
 	d := NewDetector()
 	corpus := map[string]struct{}{
 		"paypal-secure1.tk": {},
+		"PayPal-Secure1.tk": {},
 	}
-	r1 := d.Scan(corpus)
-	if r1.PerService.Get("PayPal") != 1 {
+	// The same name in the set, again as an extra name, and in another
+	// spelling of one normalized FQDN counts once.
+	r1 := d.Scan(nameSet(corpus), []string{"paypal-secure1.tk", "*.paypal-secure1.tk."}, 2)
+	if r1.PerService.Get("PayPal") != 1 || r1.Total != 1 {
 		t.Fatalf("count = %d", r1.PerService.Get("PayPal"))
 	}
 }
