@@ -7,9 +7,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -18,12 +19,28 @@ import (
 )
 
 func main() {
-	seed := flag.Int64("seed", 2018, "simulation seed")
-	scale := flag.Float64("scale", 1, "scale multiplier (1 = fast defaults)")
-	domains := flag.Int("domains", 20000, "registrable-domain population size")
-	only := flag.String("only", "", "comma-separated subset: fig1,fig2,tab1,scan,sec4,tab3,tab4")
-	parallelism := flag.Int("parallelism", 0, "worker bound for all pipelines, generation and analysis (0 = GOMAXPROCS, 1 = sequential)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintf(os.Stderr, "ctrise: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, runs the selected sections and renders them to
+// stdout. The timing footer goes to stderr so stdout depends only on
+// the flags.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ctrise", flag.ContinueOnError)
+	seed := fs.Int64("seed", 2018, "simulation seed")
+	scale := fs.Float64("scale", 1, "scale multiplier (1 = fast defaults)")
+	domains := fs.Int("domains", 20000, "registrable-domain population size")
+	only := fs.String("only", "", "comma-separated subset: fig1,fig2,tab1,scan,sec4,tab3,tab4")
+	parallelism := fs.Int("parallelism", 0, "worker bound for all pipelines, generation and analysis (0 = GOMAXPROCS, 1 = sequential)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	want := map[string]bool{}
 	if *only != "" {
@@ -32,6 +49,9 @@ func main() {
 		}
 	}
 	enabled := func(k string) bool { return len(want) == 0 || want[k] }
+	section := func(title string) {
+		fmt.Fprintf(stdout, "%s\n%s\n%s\n\n", strings.Repeat("=", len(title)), title, strings.Repeat("=", len(title)))
+	}
 
 	s := experiments.NewSuite(experiments.Options{
 		Seed:        *seed,
@@ -44,69 +64,66 @@ func main() {
 	if enabled("fig1") {
 		r, err := s.Figure1()
 		if err != nil {
-			log.Fatalf("figure 1: %v", err)
+			return fmt.Errorf("figure 1: %w", err)
 		}
 		section("SECTION 2: TIMELINE OF CT LOG EVOLUTION")
-		fmt.Println(r.RenderFigure1a())
-		fmt.Println(r.RenderFigure1b())
-		fmt.Println(r.RenderFigure1c())
-		fmt.Printf("total harvested precertificates: %d\n\n", r.TotalPrecerts)
+		fmt.Fprintln(stdout, r.RenderFigure1a())
+		fmt.Fprintln(stdout, r.RenderFigure1b())
+		fmt.Fprintln(stdout, r.RenderFigure1c())
+		fmt.Fprintf(stdout, "total harvested precertificates: %d\n\n", r.TotalPrecerts)
 	}
 
 	if enabled("fig2") || enabled("tab1") {
 		r := s.Traffic()
 		section("SECTION 3.2: PASSIVE CT ADOPTION (UCB-UPLINK SHAPE)")
-		fmt.Println(r.RenderTotals())
+		fmt.Fprintln(stdout, r.RenderTotals())
 		if enabled("fig2") {
-			fmt.Println(r.RenderFigure2())
+			fmt.Fprintln(stdout, r.RenderFigure2())
 		}
 		if enabled("tab1") {
-			fmt.Println(r.RenderTable1())
+			fmt.Fprintln(stdout, r.RenderTable1())
 		}
 	}
 
 	if enabled("scan") {
 		r, err := s.Scan()
 		if err != nil {
-			log.Fatalf("scan: %v", err)
+			return fmt.Errorf("scan: %w", err)
 		}
 		section("SECTION 3.3/3.4: ACTIVE SCAN")
-		fmt.Println(r.RenderSection33())
-		fmt.Println(r.RenderSection34())
+		fmt.Fprintln(stdout, r.RenderSection33())
+		fmt.Fprintln(stdout, r.RenderSection34())
 	}
 
 	if enabled("sec4") {
 		r, err := s.Section4()
 		if err != nil {
-			log.Fatalf("section 4: %v", err)
+			return fmt.Errorf("section 4: %w", err)
 		}
 		section("SECTION 4: LEAKAGE OF DNS INFORMATION")
-		fmt.Println(r.RenderTable2())
-		fmt.Println(r.RenderSection43())
+		fmt.Fprintln(stdout, r.RenderTable2())
+		fmt.Fprintln(stdout, r.RenderSection43())
 	}
 
 	if enabled("tab3") {
 		r, err := s.Table3()
 		if err != nil {
-			log.Fatalf("table 3: %v", err)
+			return fmt.Errorf("table 3: %w", err)
 		}
 		section("SECTION 5: DETECTING PHISHING DOMAINS")
-		fmt.Println(r.RenderTable3())
+		fmt.Fprintln(stdout, r.RenderTable3())
 	}
 
 	if enabled("tab4") {
 		r, err := s.Table4()
 		if err != nil {
-			log.Fatalf("table 4: %v", err)
+			return fmt.Errorf("table 4: %w", err)
 		}
 		section("SECTION 6: CT HONEYPOT")
-		fmt.Println(r.RenderTable4())
+		fmt.Fprintln(stdout, r.RenderTable4())
 	}
 
 	fmt.Fprintf(os.Stderr, "ctrise: done in %v (seed=%d scale=%g domains=%d)\n",
 		time.Since(start).Round(time.Millisecond), *seed, *scale, *domains)
-}
-
-func section(title string) {
-	fmt.Printf("%s\n%s\n%s\n\n", strings.Repeat("=", len(title)), title, strings.Repeat("=", len(title)))
+	return nil
 }
