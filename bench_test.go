@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ctrise/internal/certs"
+	"ctrise/internal/ctlog"
 	"ctrise/internal/ecosystem"
 	"ctrise/internal/experiments"
 	"ctrise/internal/honeypot"
@@ -306,7 +307,10 @@ func BenchmarkTable4(b *testing.B) {
 // the level cache (production path) against naive recursive rehashing.
 func BenchmarkAblationMerkleCache(b *testing.B) {
 	const size = 1 << 14
-	tree := merkle.New()
+	tree, err := merkle.NewTiled(ctlog.DefaultTileSpan, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	leaves := make([][]byte, size)
 	for i := range leaves {
 		leaves[i] = []byte(fmt.Sprintf("leaf-%d", i))

@@ -3,6 +3,7 @@ package merkle
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -33,225 +34,390 @@ var rfcRoots = []string{
 	"5dc9da79a70659a9ad559cb701ded9a2ab9d823aad2f4960cfe370eff4604328",
 }
 
-func buildRFC(t *testing.T, n int) *Tree {
+// The reference below is written straight from the RFC 6962 §2.1
+// definitions over raw leaf bytes, by direct O(n) recursion and with its
+// own hashing. Trees under test are compared against it, never against
+// another tree, so a bug shared by the cached algorithms cannot hide.
+
+// refLeaf is the leaf hash SHA-256(0x00 || d).
+func refLeaf(d []byte) Hash {
+	return sha256.Sum256(append([]byte{0x00}, d...))
+}
+
+// refNode is the interior hash SHA-256(0x01 || l || r).
+func refNode(l, r Hash) Hash {
+	b := append([]byte{0x01}, l[:]...)
+	return sha256.Sum256(append(b, r[:]...))
+}
+
+// refSplit is k: the largest power of two strictly less than n (n ≥ 2).
+func refSplit(n int) int {
+	k := 1
+	for k<<1 < n {
+		k <<= 1
+	}
+	return k
+}
+
+// refMTH is MTH(D).
+func refMTH(d [][]byte) Hash {
+	switch len(d) {
+	case 0:
+		return sha256.Sum256(nil)
+	case 1:
+		return refLeaf(d[0])
+	}
+	k := refSplit(len(d))
+	return refNode(refMTH(d[:k]), refMTH(d[k:]))
+}
+
+// refPath is PATH(m, D): the audit path of leaf m.
+func refPath(m int, d [][]byte) []Hash {
+	if len(d) <= 1 {
+		return nil
+	}
+	k := refSplit(len(d))
+	if m < k {
+		return append(refPath(m, d[:k]), refMTH(d[k:]))
+	}
+	return append(refPath(m-k, d[k:]), refMTH(d[:k]))
+}
+
+// refSubproof is SUBPROOF(m, D, b); PROOF(m, D) is refSubproof(m, D, true).
+func refSubproof(m int, d [][]byte, b bool) []Hash {
+	if m == len(d) {
+		if b {
+			return nil
+		}
+		return []Hash{refMTH(d)}
+	}
+	k := refSplit(len(d))
+	if m <= k {
+		return append(refSubproof(m, d[:k], b), refMTH(d[k:]))
+	}
+	return append(refSubproof(m-k, d[k:], false), refMTH(d[:k]))
+}
+
+func sameHashes(a, b []Hash) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// treeMode is one configuration every tree test runs in: a tree that is
+// never sealed, or one that seals every complete tile after each append
+// and so serves its pruned nodes back through a NodeSource.
+type treeMode struct {
+	name string
+	span uint64
+	seal bool
+}
+
+var treeModes = []treeMode{
+	{"unsealed", 2, false},
+	{"sealed-span2", 2, true},
+	{"sealed-span4", 4, true},
+}
+
+// forEachMode runs fn as one subtest per tree mode.
+func forEachMode(t *testing.T, fn func(t *testing.T, m treeMode)) {
+	for _, m := range treeModes {
+		t.Run(m.name, func(t *testing.T) { fn(t, m) })
+	}
+}
+
+// newTree returns an empty tree in mode m. In a sealing mode its
+// NodeSource serves the nodes of leaves, the data the test will append.
+func (m treeMode) newTree(t testing.TB, leaves [][]byte) *TiledTree {
 	t.Helper()
-	tr := New()
-	for i := 0; i < n; i++ {
-		tr.AppendData(rfcLeaves[i])
+	var src NodeSource
+	if m.seal {
+		src = &treeSource{leaves: leaves}
+	}
+	tr, err := NewTiled(m.span, src)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return tr
 }
 
-func TestEmptyRoot(t *testing.T) {
-	want := sha256.Sum256(nil)
-	if got := New().Root(); got != Hash(want) {
-		t.Fatalf("empty root = %s", got)
+// add appends data, then in a sealing mode seals every complete tile.
+func (m treeMode) add(t testing.TB, tr *TiledTree, data []byte) uint64 {
+	t.Helper()
+	idx := tr.AppendData(data)
+	if m.seal {
+		if err := tr.Seal(tr.Size() / m.span * m.span); err != nil {
+			t.Fatalf("Seal at size %d: %v", tr.Size(), err)
+		}
 	}
-	if got := EmptyRoot(); got != Hash(want) {
+	return idx
+}
+
+// build returns a tree in mode m over leaves.
+func (m treeMode) build(t testing.TB, leaves [][]byte) *TiledTree {
+	t.Helper()
+	tr := m.newTree(t, leaves)
+	for _, l := range leaves {
+		m.add(t, tr, l)
+	}
+	return tr
+}
+
+func mustRoot(t testing.TB, tr *TiledTree) Hash {
+	t.Helper()
+	return mustRootAt(t, tr, tr.Size())
+}
+
+func mustRootAt(t testing.TB, tr *TiledTree, n uint64) Hash {
+	t.Helper()
+	root, err := tr.RootAt(n)
+	if err != nil {
+		t.Fatalf("RootAt(%d): %v", n, err)
+	}
+	return root
+}
+
+func TestEmptyRoot(t *testing.T) {
+	want := Hash(sha256.Sum256(nil))
+	if got := EmptyRoot(); got != want {
 		t.Fatalf("EmptyRoot = %s", got)
 	}
+	forEachMode(t, func(t *testing.T, m treeMode) {
+		tr := m.newTree(t, nil)
+		root, err := tr.Root()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if root != want {
+			t.Fatalf("empty root = %s", root)
+		}
+	})
 }
 
 func TestRFC6962Roots(t *testing.T) {
-	tr := New()
-	for i, leaf := range rfcLeaves {
-		tr.AppendData(leaf)
-		want, err := hex.DecodeString(rfcRoots[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := tr.Root()
-		if hex.EncodeToString(got[:]) != rfcRoots[i] {
-			t.Errorf("size %d: root = %x, want %x", i+1, got, want)
+	for i := range rfcLeaves {
+		if got := refMTH(rfcLeaves[:i+1]); hex.EncodeToString(got[:]) != rfcRoots[i] {
+			t.Fatalf("reference MTH at size %d = %s, want %s", i+1, got, rfcRoots[i])
 		}
 	}
+	forEachMode(t, func(t *testing.T, m treeMode) {
+		tr := m.newTree(t, rfcLeaves)
+		for i, leaf := range rfcLeaves {
+			m.add(t, tr, leaf)
+			got, err := tr.Root()
+			if err != nil {
+				t.Fatalf("size %d: %v", i+1, err)
+			}
+			if hex.EncodeToString(got[:]) != rfcRoots[i] {
+				t.Errorf("size %d: root = %s, want %s", i+1, got, rfcRoots[i])
+			}
+		}
+	})
 }
 
 func TestRootAtMatchesIncremental(t *testing.T) {
-	tr := buildRFC(t, 8)
-	for n := 1; n <= 8; n++ {
-		got, err := tr.RootAt(uint64(n))
-		if err != nil {
-			t.Fatalf("RootAt(%d): %v", n, err)
+	forEachMode(t, func(t *testing.T, m treeMode) {
+		tr := m.build(t, rfcLeaves)
+		for n := 1; n <= 8; n++ {
+			got := mustRootAt(t, tr, uint64(n))
+			if hex.EncodeToString(got[:]) != rfcRoots[n-1] {
+				t.Errorf("RootAt(%d) = %s, want %s", n, got, rfcRoots[n-1])
+			}
 		}
-		if hex.EncodeToString(got[:]) != rfcRoots[n-1] {
-			t.Errorf("RootAt(%d) = %s, want %s", n, got, rfcRoots[n-1])
-		}
-	}
+	})
 }
 
 func TestRootAtZero(t *testing.T) {
-	tr := buildRFC(t, 3)
-	got, err := tr.RootAt(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != EmptyRoot() {
-		t.Fatalf("RootAt(0) = %s", got)
-	}
+	forEachMode(t, func(t *testing.T, m treeMode) {
+		tr := m.build(t, rfcLeaves[:3])
+		if got := mustRootAt(t, tr, 0); got != EmptyRoot() {
+			t.Fatalf("RootAt(0) = %s", got)
+		}
+	})
 }
 
 func TestRootAtOutOfRange(t *testing.T) {
-	tr := buildRFC(t, 3)
-	if _, err := tr.RootAt(4); err == nil {
-		t.Fatal("expected error for RootAt past size")
-	}
+	forEachMode(t, func(t *testing.T, m treeMode) {
+		tr := m.build(t, rfcLeaves[:3])
+		if _, err := tr.RootAt(4); !errors.Is(err, ErrSizeOutOfRange) {
+			t.Fatalf("RootAt past size: err=%v, want ErrSizeOutOfRange", err)
+		}
+	})
 }
 
-// RFC 6962 Section 2.1.3 example audit paths for the 7-leaf tree built from
-// the first 7 rfcLeaves, expressed structurally: verify every (i, n) pair.
+// Every (i, n) audit path over the RFC 6962 vector leaves must equal the
+// reference PATH and verify.
 func TestInclusionProofAllPairs(t *testing.T) {
-	tr := buildRFC(t, 8)
-	for n := uint64(1); n <= 8; n++ {
-		root, err := tr.RootAt(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := uint64(0); i < n; i++ {
-			proof, err := tr.InclusionProof(i, n)
-			if err != nil {
-				t.Fatalf("InclusionProof(%d,%d): %v", i, n, err)
+	forEachMode(t, func(t *testing.T, m treeMode) {
+		tr := m.build(t, rfcLeaves)
+		for n := uint64(1); n <= 8; n++ {
+			root := mustRootAt(t, tr, n)
+			for i := uint64(0); i < n; i++ {
+				proof, err := tr.InclusionProof(i, n)
+				if err != nil {
+					t.Fatalf("InclusionProof(%d,%d): %v", i, n, err)
+				}
+				if !sameHashes(proof, refPath(int(i), rfcLeaves[:n])) {
+					t.Errorf("InclusionProof(%d,%d) differs from the reference", i, n)
+				}
+				leaf := HashLeaf(rfcLeaves[i])
+				if err := VerifyInclusion(leaf, i, n, proof, root); err != nil {
+					t.Errorf("VerifyInclusion(%d,%d): %v", i, n, err)
+				}
 			}
-			leaf := HashLeaf(rfcLeaves[i])
-			if err := VerifyInclusion(leaf, i, n, proof, root); err != nil {
-				t.Errorf("VerifyInclusion(%d,%d): %v", i, n, err)
-			}
 		}
-	}
+	})
 }
 
 func TestInclusionProofRejectsWrongLeaf(t *testing.T) {
-	tr := buildRFC(t, 8)
-	root := tr.Root()
-	proof, err := tr.InclusionProof(2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrong := HashLeaf([]byte("not the leaf"))
-	if err := VerifyInclusion(wrong, 2, 8, proof, root); err == nil {
-		t.Fatal("verification should fail for wrong leaf")
-	}
+	forEachMode(t, func(t *testing.T, m treeMode) {
+		tr := m.build(t, rfcLeaves)
+		proof, err := tr.InclusionProof(2, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrong := HashLeaf([]byte("not the leaf"))
+		if err := VerifyInclusion(wrong, 2, 8, proof, mustRoot(t, tr)); !errors.Is(err, ErrProofInvalid) {
+			t.Fatalf("wrong leaf: err=%v, want ErrProofInvalid", err)
+		}
+	})
 }
 
 func TestInclusionProofRejectsWrongIndex(t *testing.T) {
-	tr := buildRFC(t, 8)
-	root := tr.Root()
-	proof, err := tr.InclusionProof(2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf := HashLeaf(rfcLeaves[2])
-	if err := VerifyInclusion(leaf, 3, 8, proof, root); err == nil {
-		t.Fatal("verification should fail for wrong index")
-	}
+	forEachMode(t, func(t *testing.T, m treeMode) {
+		tr := m.build(t, rfcLeaves)
+		proof, err := tr.InclusionProof(2, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf := HashLeaf(rfcLeaves[2])
+		if err := VerifyInclusion(leaf, 3, 8, proof, mustRoot(t, tr)); !errors.Is(err, ErrProofInvalid) {
+			t.Fatalf("wrong index: err=%v, want ErrProofInvalid", err)
+		}
+	})
 }
 
 func TestInclusionProofRejectsTamperedProof(t *testing.T) {
-	tr := buildRFC(t, 8)
-	root := tr.Root()
-	proof, err := tr.InclusionProof(5, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proof[0][3] ^= 0xff
-	if err := VerifyInclusion(HashLeaf(rfcLeaves[5]), 5, 8, proof, root); err == nil {
-		t.Fatal("verification should fail for tampered proof")
-	}
+	forEachMode(t, func(t *testing.T, m treeMode) {
+		tr := m.build(t, rfcLeaves)
+		proof, err := tr.InclusionProof(5, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proof[0][3] ^= 0xff
+		if err := VerifyInclusion(HashLeaf(rfcLeaves[5]), 5, 8, proof, mustRoot(t, tr)); !errors.Is(err, ErrProofInvalid) {
+			t.Fatalf("tampered proof: err=%v, want ErrProofInvalid", err)
+		}
+	})
 }
 
 func TestInclusionProofErrors(t *testing.T) {
-	tr := buildRFC(t, 4)
-	if _, err := tr.InclusionProof(4, 4); err == nil {
-		t.Error("index == size should fail")
+	forEachMode(t, func(t *testing.T, m treeMode) {
+		tr := m.build(t, rfcLeaves[:4])
+		if _, err := tr.InclusionProof(4, 4); !errors.Is(err, ErrIndexOutOfRange) {
+			t.Errorf("index == size: err=%v, want ErrIndexOutOfRange", err)
+		}
+		if _, err := tr.InclusionProof(0, 5); !errors.Is(err, ErrSizeOutOfRange) {
+			t.Errorf("size > tree: err=%v, want ErrSizeOutOfRange", err)
+		}
+	})
+	// A proof of the wrong length must be rejected.
+	if _, err := RootFromInclusionProof(HashLeaf(rfcLeaves[0]), 0, 4, []Hash{{}}); !errors.Is(err, ErrProofInvalid) {
+		t.Errorf("short proof: err=%v, want ErrProofInvalid", err)
 	}
-	if _, err := tr.InclusionProof(0, 5); err == nil {
-		t.Error("size > tree should fail")
-	}
-	if _, err := VerifyInclusionSized(t, tr); err == nil {
-		_ = err
+	if _, err := RootFromInclusionProof(HashLeaf(rfcLeaves[0]), 4, 4, nil); !errors.Is(err, ErrIndexOutOfRange) {
+		t.Errorf("index == size: err=%v, want ErrIndexOutOfRange", err)
 	}
 }
 
-// VerifyInclusionSized is a helper exercising the proof-length check.
-func VerifyInclusionSized(t *testing.T, tr *Tree) (Hash, error) {
-	t.Helper()
-	leaf := HashLeaf(rfcLeaves[0])
-	// Proof of wrong length must be rejected.
-	return RootFromInclusionProof(leaf, 0, 4, []Hash{{}})
-}
-
+// Every (m, n) consistency proof over the RFC 6962 vector leaves must
+// equal the reference PROOF and verify.
 func TestConsistencyAllPairs(t *testing.T) {
-	tr := buildRFC(t, 8)
-	for m := uint64(1); m <= 8; m++ {
-		root1, _ := tr.RootAt(m)
-		for n := m; n <= 8; n++ {
-			root2, _ := tr.RootAt(n)
-			proof, err := tr.ConsistencyProof(m, n)
-			if err != nil {
-				t.Fatalf("ConsistencyProof(%d,%d): %v", m, n, err)
-			}
-			if err := VerifyConsistency(m, n, root1, root2, proof); err != nil {
-				t.Errorf("VerifyConsistency(%d,%d): %v", m, n, err)
+	forEachMode(t, func(t *testing.T, m treeMode) {
+		tr := m.build(t, rfcLeaves)
+		for first := uint64(1); first <= 8; first++ {
+			root1 := mustRootAt(t, tr, first)
+			for n := first; n <= 8; n++ {
+				root2 := mustRootAt(t, tr, n)
+				proof, err := tr.ConsistencyProof(first, n)
+				if err != nil {
+					t.Fatalf("ConsistencyProof(%d,%d): %v", first, n, err)
+				}
+				if !sameHashes(proof, refSubproof(int(first), rfcLeaves[:n], true)) {
+					t.Errorf("ConsistencyProof(%d,%d) differs from the reference", first, n)
+				}
+				if err := VerifyConsistency(first, n, root1, root2, proof); err != nil {
+					t.Errorf("VerifyConsistency(%d,%d): %v", first, n, err)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestConsistencyRejectsForkedTree(t *testing.T) {
-	tr := buildRFC(t, 8)
 	// A forked tree shares the first 4 leaves, then diverges.
-	forked := New()
-	for i := 0; i < 4; i++ {
-		forked.AppendData(rfcLeaves[i])
-	}
+	forkedLeaves := append([][]byte{}, rfcLeaves[:4]...)
 	for i := 4; i < 8; i++ {
-		forked.AppendData([]byte(fmt.Sprintf("divergent-%d", i)))
+		forkedLeaves = append(forkedLeaves, []byte(fmt.Sprintf("divergent-%d", i)))
 	}
-	root1, _ := tr.RootAt(6) // not a prefix of forked at size 6
-	root2 := forked.Root()
-	proof, err := forked.ConsistencyProof(6, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyConsistency(6, 8, root1, root2, proof); err == nil {
-		t.Fatal("verification should fail: size-6 tree is not a prefix of forked tree")
-	}
+	forEachMode(t, func(t *testing.T, m treeMode) {
+		tr := m.build(t, rfcLeaves)
+		forked := m.build(t, forkedLeaves)
+		root1 := mustRootAt(t, tr, 6) // not a prefix of forked at size 6
+		proof, err := forked.ConsistencyProof(6, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyConsistency(6, 8, root1, mustRoot(t, forked), proof); !errors.Is(err, ErrProofInvalid) {
+			t.Fatalf("size-6 tree is not a prefix of the forked tree: err=%v, want ErrProofInvalid", err)
+		}
+	})
 }
 
 func TestConsistencyEqualSizes(t *testing.T) {
-	tr := buildRFC(t, 5)
-	root, _ := tr.RootAt(5)
-	proof, err := tr.ConsistencyProof(5, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(proof) != 0 {
-		t.Fatalf("proof for equal sizes should be empty, got %d nodes", len(proof))
-	}
-	if err := VerifyConsistency(5, 5, root, root, nil); err != nil {
-		t.Fatal(err)
-	}
+	forEachMode(t, func(t *testing.T, m treeMode) {
+		tr := m.build(t, rfcLeaves[:5])
+		root := mustRootAt(t, tr, 5)
+		proof, err := tr.ConsistencyProof(5, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(proof) != 0 {
+			t.Fatalf("proof for equal sizes should be empty, got %d nodes", len(proof))
+		}
+		if err := VerifyConsistency(5, 5, root, root, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestConsistencyErrors(t *testing.T) {
-	tr := buildRFC(t, 4)
-	if _, err := tr.ConsistencyProof(0, 4); err == nil {
-		t.Error("m=0 should fail")
+	forEachMode(t, func(t *testing.T, m treeMode) {
+		tr := m.build(t, rfcLeaves[:4])
+		if _, err := tr.ConsistencyProof(0, 4); !errors.Is(err, ErrEmptyRange) {
+			t.Errorf("m=0: err=%v, want ErrEmptyRange", err)
+		}
+		if _, err := tr.ConsistencyProof(3, 5); !errors.Is(err, ErrSizeOutOfRange) {
+			t.Errorf("n > size: err=%v, want ErrSizeOutOfRange", err)
+		}
+		if _, err := tr.ConsistencyProof(4, 3); !errors.Is(err, ErrSizeOutOfRange) {
+			t.Errorf("m > n: err=%v, want ErrSizeOutOfRange", err)
+		}
+	})
+	if err := VerifyConsistency(3, 2, Hash{}, Hash{}, nil); !errors.Is(err, ErrSizeOutOfRange) {
+		t.Errorf("verify with m > n: err=%v, want ErrSizeOutOfRange", err)
 	}
-	if _, err := tr.ConsistencyProof(3, 5); err == nil {
-		t.Error("n > size should fail")
+	if err := VerifyConsistency(2, 2, Hash{1}, Hash{2}, nil); !errors.Is(err, ErrProofInvalid) {
+		t.Errorf("equal sizes different roots: err=%v, want ErrProofInvalid", err)
 	}
-	if _, err := tr.ConsistencyProof(4, 3); err == nil {
-		t.Error("m > n should fail")
-	}
-	if err := VerifyConsistency(3, 2, Hash{}, Hash{}, nil); err == nil {
-		t.Error("verify with m > n should fail")
-	}
-	if err := VerifyConsistency(2, 2, Hash{1}, Hash{2}, nil); err == nil {
-		t.Error("equal sizes different roots should fail")
-	}
-	if err := VerifyConsistency(0, 2, EmptyRoot(), Hash{2}, []Hash{{}}); err == nil {
-		t.Error("nonempty proof from empty tree should fail")
+	if err := VerifyConsistency(0, 2, EmptyRoot(), Hash{2}, []Hash{{}}); !errors.Is(err, ErrProofInvalid) {
+		t.Errorf("nonempty proof from empty tree: err=%v, want ErrProofInvalid", err)
 	}
 	if err := VerifyConsistency(0, 2, EmptyRoot(), Hash{2}, nil); err != nil {
 		t.Errorf("empty tree consistency: %v", err)
@@ -259,21 +425,27 @@ func TestConsistencyErrors(t *testing.T) {
 }
 
 func TestLeafHash(t *testing.T) {
-	tr := New()
-	idx := tr.AppendData([]byte("hello"))
-	if idx != 0 {
-		t.Fatalf("first index = %d", idx)
-	}
-	got, err := tr.LeafHash(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != HashLeaf([]byte("hello")) {
-		t.Fatal("leaf hash mismatch")
-	}
-	if _, err := tr.LeafHash(1); err == nil {
-		t.Fatal("out-of-range leaf hash should fail")
-	}
+	leaves := [][]byte{[]byte("hello"), []byte("world")}
+	forEachMode(t, func(t *testing.T, m treeMode) {
+		tr := m.newTree(t, leaves)
+		for i, l := range leaves {
+			if idx := m.add(t, tr, l); idx != uint64(i) {
+				t.Fatalf("append %d returned index %d", i, idx)
+			}
+		}
+		for i, l := range leaves {
+			got, err := tr.LeafHash(uint64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != refLeaf(l) {
+				t.Fatalf("leaf %d hash mismatch", i)
+			}
+		}
+		if _, err := tr.LeafHash(2); !errors.Is(err, ErrIndexOutOfRange) {
+			t.Fatalf("out-of-range leaf hash: err=%v, want ErrIndexOutOfRange", err)
+		}
+	})
 }
 
 func TestDomainSeparation(t *testing.T) {
@@ -296,86 +468,87 @@ func TestSplitPoint(t *testing.T) {
 	}
 }
 
-// Property: for random trees, inclusion proofs verify for every leaf and
-// fail for a perturbed root.
+// Property: for random trees, inclusion proofs equal the reference,
+// verify for every leaf, and fail for a perturbed root.
 func TestPropertyInclusionRandomTrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for iter := 0; iter < 30; iter++ {
-		n := 1 + rng.Intn(200)
-		tr := New()
-		data := make([][]byte, n)
-		for i := range data {
-			data[i] = make([]byte, rng.Intn(50))
-			rng.Read(data[i])
-			tr.AppendData(data[i])
-		}
-		root := tr.Root()
-		i := uint64(rng.Intn(n))
-		proof, err := tr.InclusionProof(i, uint64(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := VerifyInclusion(HashLeaf(data[i]), i, uint64(n), proof, root); err != nil {
-			t.Fatalf("n=%d i=%d: %v", n, i, err)
-		}
-		bad := root
-		bad[0] ^= 1
-		if err := VerifyInclusion(HashLeaf(data[i]), i, uint64(n), proof, bad); err == nil {
-			t.Fatalf("n=%d i=%d: verified against wrong root", n, i)
-		}
-	}
-}
-
-// Property: consistency proofs verify for random (m, n) pairs on random trees.
-func TestPropertyConsistencyRandomTrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 30; iter++ {
-		n := 2 + rng.Intn(300)
-		tr := New()
-		for i := 0; i < n; i++ {
-			buf := make([]byte, 8+rng.Intn(16))
-			rng.Read(buf)
-			tr.AppendData(buf)
-		}
-		m := uint64(1 + rng.Intn(n))
-		root1, _ := tr.RootAt(m)
-		root2, _ := tr.RootAt(uint64(n))
-		proof, err := tr.ConsistencyProof(m, uint64(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := VerifyConsistency(m, uint64(n), root1, root2, proof); err != nil {
-			t.Fatalf("m=%d n=%d: %v", m, n, err)
-		}
-	}
-}
-
-// Property (quick): appending data then recomputing the root from scratch
-// matches the cached computation.
-func TestQuickRootMatchesNaive(t *testing.T) {
-	naive := func(leaves [][]byte) Hash {
-		var rec func(lo, hi int) Hash
-		rec = func(lo, hi int) Hash {
-			if hi-lo == 1 {
-				return HashLeaf(leaves[lo])
+	forEachMode(t, func(t *testing.T, m treeMode) {
+		rng := rand.New(rand.NewSource(42))
+		for iter := 0; iter < 30; iter++ {
+			n := 1 + rng.Intn(200)
+			data := make([][]byte, n)
+			for i := range data {
+				data[i] = make([]byte, rng.Intn(50))
+				rng.Read(data[i])
 			}
-			k := int(splitPoint(uint64(hi - lo)))
-			return HashChildren(rec(lo, lo+k), rec(lo+k, hi))
+			tr := m.build(t, data)
+			root := mustRoot(t, tr)
+			if root != refMTH(data) {
+				t.Fatalf("n=%d: root differs from the reference", n)
+			}
+			i := uint64(rng.Intn(n))
+			proof, err := tr.InclusionProof(i, uint64(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameHashes(proof, refPath(int(i), data)) {
+				t.Fatalf("n=%d i=%d: proof differs from the reference", n, i)
+			}
+			if err := VerifyInclusion(HashLeaf(data[i]), i, uint64(n), proof, root); err != nil {
+				t.Fatalf("n=%d i=%d: %v", n, i, err)
+			}
+			bad := root
+			bad[0] ^= 1
+			if err := VerifyInclusion(HashLeaf(data[i]), i, uint64(n), proof, bad); err == nil {
+				t.Fatalf("n=%d i=%d: verified against wrong root", n, i)
+			}
 		}
-		if len(leaves) == 0 {
-			return EmptyRoot()
+	})
+}
+
+// Property: consistency proofs equal the reference and verify for random
+// (m, n) pairs on random trees.
+func TestPropertyConsistencyRandomTrees(t *testing.T) {
+	forEachMode(t, func(t *testing.T, m treeMode) {
+		rng := rand.New(rand.NewSource(7))
+		for iter := 0; iter < 30; iter++ {
+			n := 2 + rng.Intn(300)
+			data := make([][]byte, n)
+			for i := range data {
+				data[i] = make([]byte, 8+rng.Intn(16))
+				rng.Read(data[i])
+			}
+			tr := m.build(t, data)
+			first := uint64(1 + rng.Intn(n))
+			root1 := mustRootAt(t, tr, first)
+			root2 := mustRoot(t, tr)
+			proof, err := tr.ConsistencyProof(first, uint64(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameHashes(proof, refSubproof(int(first), data, true)) {
+				t.Fatalf("m=%d n=%d: proof differs from the reference", first, n)
+			}
+			if err := VerifyConsistency(first, uint64(n), root1, root2, proof); err != nil {
+				t.Fatalf("m=%d n=%d: %v", first, n, err)
+			}
 		}
-		return rec(0, len(leaves))
-	}
+	})
+}
+
+// Property (quick): the cached root of any leaf sequence, in every tree
+// mode, equals MTH recomputed from scratch by the reference.
+func TestQuickRootMatchesNaive(t *testing.T) {
 	f := func(raw [][]byte) bool {
 		if len(raw) > 64 {
 			raw = raw[:64]
 		}
-		tr := New()
-		for _, l := range raw {
-			tr.AppendData(l)
+		want := refMTH(raw)
+		for _, m := range treeModes {
+			if mustRoot(t, m.build(t, raw)) != want {
+				return false
+			}
 		}
-		return tr.Root() == naive(raw)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -383,7 +556,10 @@ func TestQuickRootMatchesNaive(t *testing.T) {
 }
 
 func BenchmarkAppend(b *testing.B) {
-	tr := New()
+	tr, err := NewTiled(1024, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	leaf := []byte("benchmark leaf data: some certificate bytes")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -392,7 +568,10 @@ func BenchmarkAppend(b *testing.B) {
 }
 
 func BenchmarkInclusionProof(b *testing.B) {
-	tr := New()
+	tr, err := NewTiled(1024, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < 1<<16; i++ {
 		tr.AppendData([]byte{byte(i), byte(i >> 8)})
 	}

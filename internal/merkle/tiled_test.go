@@ -6,68 +6,53 @@ import (
 	"testing"
 )
 
-// treeSource serves pruned nodes out of a fully materialized reference
-// Tree — the test stand-in for the on-disk tile files. It counts lookups
-// so tests can prove the sealed region is actually served from the
-// source rather than from RAM.
+// treeSource is the test stand-in for the on-disk tile files: Node(l, i)
+// is the reference MTH over leaves [i<<l, (i+1)<<l), recomputed from the
+// raw leaf bytes. It counts lookups so tests can prove the sealed region
+// is actually served from the source rather than from RAM.
 type treeSource struct {
-	ref     *Tree
+	leaves  [][]byte
 	lookups int
 }
 
 func (s *treeSource) Node(level int, index uint64) (Hash, error) {
 	s.lookups++
-	if level >= len(s.ref.levels) || index >= uint64(len(s.ref.levels[level])) {
+	lo, hi := index<<uint(level), (index+1)<<uint(level)
+	if hi > uint64(len(s.leaves)) {
 		return Hash{}, fmt.Errorf("treeSource: no node at level %d index %d", level, index)
 	}
-	return s.ref.levels[level][index], nil
+	return refMTH(s.leaves[lo:hi]), nil
 }
 
-func testLeaf(i int) []byte {
-	return []byte(fmt.Sprintf("leaf-%d", i))
-}
-
-// buildRef returns a reference Tree over n test leaves.
-func buildRef(n int) *Tree {
-	ref := New()
-	for i := 0; i < n; i++ {
-		ref.AppendData(testLeaf(i))
+// testLeaves returns n distinct raw test leaves.
+func testLeaves(n int) [][]byte {
+	leaves := make([][]byte, n)
+	for i := range leaves {
+		leaves[i] = []byte(fmt.Sprintf("leaf-%d", i))
 	}
-	return ref
+	return leaves
 }
 
-// requireSameProofs asserts that the tiled tree serves byte-identical
-// roots, inclusion proofs, and consistency proofs to the reference tree
-// at tree size n.
-func requireSameProofs(t *testing.T, ref *Tree, tt *TiledTree, n uint64) {
+// requireSameProofs asserts that the tiled tree serves the reference
+// root, inclusion proofs, and consistency proofs over leaves[:n].
+func requireSameProofs(t *testing.T, leaves [][]byte, tt *TiledTree, n uint64) {
 	t.Helper()
-	wantRoot, err := ref.RootAt(n)
-	if err != nil {
-		t.Fatalf("ref.RootAt(%d): %v", n, err)
-	}
+	d := leaves[:n]
+	wantRoot := refMTH(d)
 	gotRoot, err := tt.RootAt(n)
 	if err != nil {
 		t.Fatalf("tiled.RootAt(%d): %v", n, err)
 	}
 	if gotRoot != wantRoot {
-		t.Fatalf("RootAt(%d): tiled %s != tree %s", n, gotRoot, wantRoot)
+		t.Fatalf("RootAt(%d): tiled %s != reference %s", n, gotRoot, wantRoot)
 	}
 	for i := uint64(0); i < n; i++ {
-		want, err := ref.InclusionProof(i, n)
-		if err != nil {
-			t.Fatalf("ref.InclusionProof(%d, %d): %v", i, n, err)
-		}
 		got, err := tt.InclusionProof(i, n)
 		if err != nil {
 			t.Fatalf("tiled.InclusionProof(%d, %d): %v", i, n, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("InclusionProof(%d, %d): %d nodes, want %d", i, n, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("InclusionProof(%d, %d)[%d] differs", i, n, j)
-			}
+		if !sameHashes(got, refPath(int(i), d)) {
+			t.Fatalf("InclusionProof(%d, %d) differs from the reference", i, n)
 		}
 		lh, err := tt.LeafHash(i)
 		if err != nil {
@@ -78,52 +63,41 @@ func requireSameProofs(t *testing.T, ref *Tree, tt *TiledTree, n uint64) {
 		}
 	}
 	for m := uint64(1); m <= n; m++ {
-		want, err := ref.ConsistencyProof(m, n)
-		if err != nil {
-			t.Fatalf("ref.ConsistencyProof(%d, %d): %v", m, n, err)
-		}
 		got, err := tt.ConsistencyProof(m, n)
 		if err != nil {
 			t.Fatalf("tiled.ConsistencyProof(%d, %d): %v", m, n, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("ConsistencyProof(%d, %d): %d nodes, want %d", m, n, len(got), len(want))
+		if !sameHashes(got, refSubproof(int(m), d, true)) {
+			t.Fatalf("ConsistencyProof(%d, %d) differs from the reference", m, n)
 		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("ConsistencyProof(%d, %d)[%d] differs", m, n, j)
-			}
-		}
-		oldRoot, _ := ref.RootAt(m)
-		if err := VerifyConsistency(m, n, oldRoot, wantRoot, got); err != nil {
+		if err := VerifyConsistency(m, n, refMTH(d[:m]), wantRoot, got); err != nil {
 			t.Fatalf("tiled consistency (%d, %d) does not verify: %v", m, n, err)
 		}
 	}
 }
 
-// TestTiledUnsealedMatchesTree: a TiledTree that is never sealed is
-// byte-for-byte equivalent to Tree — the property that lets the same
-// type back in-memory logs.
+// TestTiledUnsealedMatchesTree: a TiledTree that is never sealed serves
+// the RFC 6962 tree byte for byte — the property that lets the same type
+// back in-memory logs.
 func TestTiledUnsealedMatchesTree(t *testing.T) {
 	const n = 67
-	ref := buildRef(n)
+	leaves := testLeaves(n)
 	tt, err := NewTiled(8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		want, _ := ref.LeafHash(uint64(i))
-		if got := tt.AppendLeafHash(want); got != uint64(i) {
+		if got := tt.AppendLeafHash(refLeaf(leaves[i])); got != uint64(i) {
 			t.Fatalf("AppendLeafHash returned index %d, want %d", got, i)
 		}
 	}
-	requireSameProofs(t, ref, tt, n)
+	requireSameProofs(t, leaves, tt, n)
 	root, err := tt.Root()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root != ref.Root() {
-		t.Fatal("Root differs from Tree")
+	if root != refMTH(leaves) {
+		t.Fatal("Root differs from the reference")
 	}
 }
 
@@ -132,17 +106,16 @@ func TestTiledUnsealedMatchesTree(t *testing.T) {
 // both aligned and ragged final sizes.
 func TestTiledSealedMatchesTree(t *testing.T) {
 	const n = 73
-	ref := buildRef(n)
+	leaves := testLeaves(n)
 	for _, span := range []uint64{2, 4, 8, 16, 32} {
 		t.Run(fmt.Sprintf("span=%d", span), func(t *testing.T) {
-			src := &treeSource{ref: ref}
+			src := &treeSource{leaves: leaves}
 			tt, err := NewTiled(span, src)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := uint64(0); i < n; i++ {
-				lh, _ := ref.LeafHash(i)
-				tt.AppendLeafHash(lh)
+				tt.AppendLeafHash(refLeaf(leaves[i]))
 				// Seal the longest aligned prefix after every append —
 				// the most adversarial schedule.
 				if err := tt.Seal(tt.Size() / span * span); err != nil {
@@ -152,7 +125,7 @@ func TestTiledSealedMatchesTree(t *testing.T) {
 			if want := uint64(n) / span * span; tt.Sealed() != want {
 				t.Fatalf("Sealed() = %d, want %d", tt.Sealed(), want)
 			}
-			requireSameProofs(t, ref, tt, n)
+			requireSameProofs(t, leaves, tt, n)
 			if tt.Sealed() > 0 && src.lookups == 0 {
 				t.Fatal("no NodeSource lookups: sealed region was not actually pruned")
 			}
@@ -162,7 +135,7 @@ func TestTiledSealedMatchesTree(t *testing.T) {
 				if err != nil {
 					t.Fatalf("TileRoot(%d): %v", tile, err)
 				}
-				if want := ref.subtreeRoot(tile*span, (tile+1)*span); got != want {
+				if want := refMTH(leaves[tile*span : (tile+1)*span]); got != want {
 					t.Fatalf("TileRoot(%d) differs from reference", tile)
 				}
 			}
@@ -176,15 +149,15 @@ func TestTiledSealedMatchesTree(t *testing.T) {
 func TestTiledAppendSealedTile(t *testing.T) {
 	const n = 61
 	const span = 8
-	ref := buildRef(n)
-	src := &treeSource{ref: ref}
+	leaves := testLeaves(n)
+	src := &treeSource{leaves: leaves}
 	tt, err := NewTiled(span, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tiles := uint64(n) / span
 	for tile := uint64(0); tile < tiles; tile++ {
-		root := ref.subtreeRoot(tile*span, (tile+1)*span)
+		root := refMTH(leaves[tile*span : (tile+1)*span])
 		if err := tt.AppendSealedTile(root); err != nil {
 			t.Fatalf("AppendSealedTile(%d): %v", tile, err)
 		}
@@ -193,10 +166,9 @@ func TestTiledAppendSealedTile(t *testing.T) {
 		t.Fatalf("size/sealed = %d/%d, want %d", tt.Size(), tt.Sealed(), tiles*span)
 	}
 	for i := tiles * span; i < n; i++ {
-		lh, _ := ref.LeafHash(i)
-		tt.AppendLeafHash(lh)
+		tt.AppendLeafHash(refLeaf(leaves[i]))
 	}
-	requireSameProofs(t, ref, tt, n)
+	requireSameProofs(t, leaves, tt, n)
 
 	// With a mutable tail present, AppendSealedTile must refuse.
 	if err := tt.AppendSealedTile(Hash{}); err == nil {
@@ -219,8 +191,8 @@ func TestTiledSealValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
-		tt.AppendData(testLeaf(i))
+	for _, l := range testLeaves(8) {
+		tt.AppendData(l)
 	}
 	if err := tt.Seal(3); err == nil {
 		t.Fatal("misaligned seal succeeded")
@@ -241,22 +213,21 @@ func TestTiledSealValidation(t *testing.T) {
 func TestTiledSourceErrorPropagates(t *testing.T) {
 	const n = 16
 	const span = 4
-	ref := buildRef(n)
+	leaves := testLeaves(n)
 	srcErr := errors.New("disk on fire")
 	fail := false
 	src := &funcSource{fn: func(level int, index uint64) (Hash, error) {
 		if fail {
 			return Hash{}, srcErr
 		}
-		return (&treeSource{ref: ref}).Node(level, index)
+		return (&treeSource{leaves: leaves}).Node(level, index)
 	}}
 	tt, err := NewTiled(span, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := uint64(0); i < n; i++ {
-		lh, _ := ref.LeafHash(i)
-		tt.AppendLeafHash(lh)
+	for _, l := range leaves {
+		tt.AppendData(l)
 	}
 	if err := tt.Seal(n); err != nil {
 		t.Fatal(err)
@@ -288,16 +259,15 @@ func (s *funcSource) Node(level int, index uint64) (Hash, error) { return s.fn(l
 func TestPrefixViewMatchesLiveTree(t *testing.T) {
 	const n = 73
 	const span = 8
-	ref := buildRef(n)
-	src := &treeSource{ref: ref}
+	leaves := testLeaves(n)
+	src := &treeSource{leaves: leaves}
 	tt, err := NewTiled(span, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Grow to 52, sealing the longest aligned prefix as a log would.
-	for i := uint64(0); i < 52; i++ {
-		lh, _ := ref.LeafHash(i)
-		tt.AppendLeafHash(lh)
+	for _, l := range leaves[:52] {
+		tt.AppendData(l)
 	}
 	if err := tt.Seal(48); err != nil {
 		t.Fatal(err)
@@ -309,13 +279,12 @@ func TestPrefixViewMatchesLiveTree(t *testing.T) {
 			t.Fatalf("PrefixView(%d): %v", sz, err)
 		}
 		views[sz] = v
-		requireSameProofs(t, ref, v, sz)
+		requireSameProofs(t, leaves, v, sz)
 	}
 	// Mutate the live tree well past the captured views: more appends,
 	// another seal (which prunes and replaces level slices).
-	for i := uint64(52); i < n; i++ {
-		lh, _ := ref.LeafHash(i)
-		tt.AppendLeafHash(lh)
+	for _, l := range leaves[52:] {
+		tt.AppendData(l)
 	}
 	if err := tt.Seal(64); err != nil {
 		t.Fatal(err)
@@ -324,7 +293,7 @@ func TestPrefixViewMatchesLiveTree(t *testing.T) {
 		if v.Size() != sz {
 			t.Fatalf("view size moved to %d", v.Size())
 		}
-		requireSameProofs(t, ref, v, sz)
+		requireSameProofs(t, leaves, v, sz)
 	}
 	// A view above its own size still errors like the live tree did.
 	v := views[50]
@@ -339,15 +308,13 @@ func TestPrefixViewMatchesLiveTree(t *testing.T) {
 // TestPrefixViewBounds pins the capture preconditions: a view cannot
 // extend past the live size nor cut into the sealed prefix.
 func TestPrefixViewBounds(t *testing.T) {
-	ref := buildRef(20)
-	src := &treeSource{ref: ref}
-	tt, err := NewTiled(4, src)
+	leaves := testLeaves(20)
+	tt, err := NewTiled(4, &treeSource{leaves: leaves})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := uint64(0); i < 20; i++ {
-		lh, _ := ref.LeafHash(i)
-		tt.AppendLeafHash(lh)
+	for _, l := range leaves {
+		tt.AppendData(l)
 	}
 	if err := tt.Seal(16); err != nil {
 		t.Fatal(err)
@@ -386,7 +353,7 @@ func TestPrefixViewFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tt.AppendData(testLeaf(0))
+	tt.AppendData([]byte("leaf-0"))
 	v, err := tt.PrefixView(1)
 	if err != nil {
 		t.Fatal(err)
