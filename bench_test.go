@@ -53,7 +53,7 @@ func BenchmarkFigure1a(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h, err := w.HarvestLogs(ecosystem.Date(2018, 4, 1), ecosystem.Date(2018, 5, 1))
+		h, err := w.HarvestLogs(ecosystem.Date(2018, 4, 1), ecosystem.Date(2018, 5, 1), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,14 +169,14 @@ func BenchmarkSection33(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				st, err := scanner.ScanParallel(sites, names, lvl.p)
+				st, err := scanner.Scan(sites, names, lvl.p)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if st.TotalCerts == 0 {
 					b.Fatal("empty scan")
 				}
-				invalid, err := scanner.DetectInvalidSCTsParallel(sites, w.Verifiers(), lvl.p)
+				invalid, err := scanner.DetectInvalidSCTs(sites, w.Verifiers(), lvl.p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -246,7 +246,7 @@ func BenchmarkTable2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := subenum.RunCensusSet(h.NameSet, list, 0)
+		c := subenum.RunCensus(h.NameSet, list, 0)
 		if top := c.Table2(20); len(top) == 0 || top[0].Key != "www" {
 			b.Fatal("census shape")
 		}

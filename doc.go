@@ -52,12 +52,12 @@
 // The harvest-and-analysis data plane is concurrent and sharded: logs
 // expose a lock-free streaming iterator over the immutable prefix below
 // the published STH (ctlog.Log.StreamEntries), the harvester fans
-// entry-range chunks of every log out to a bounded worker pool that
-// builds private partial aggregates over a sharded FQDN-dedup set, and
-// the Section 4 census, candidate construction, and massdns-style
+// entry-range chunks of every log out over ecosystem.ForEach, each chunk
+// building a private partial aggregate over a sharded FQDN-dedup set,
+// and the Section 4 census, candidate construction, and massdns-style
 // verification all split their inputs into chunks the same way. The
 // harvester hands that sharded set to the census zero-copy
-// (subenum.RunCensusSet): census workers consume the dedup shards in
+// (subenum.RunCensus): census workers consume the dedup shards in
 // place instead of materializing the corpus into an intermediate map.
 // Over HTTP, ctclient.Monitor.StreamEntries mirrors the same bulk
 // semantics for remote logs: gap-free pages with a per-request entry
@@ -88,8 +88,10 @@
 // additively.
 //
 // One knob — Parallelism, on ecosystem.Config, experiments.Options,
-// tlsmon.GenConfig, scanner.PopConfig, and the subenum configs — bounds
-// every fan-out (GOMAXPROCS by default, 1 forces the sequential path);
+// tlsmon.GenConfig, scanner.PopConfig, and the subenum configs, and the
+// parallelism argument of World.HarvestLogs, subenum.RunCensus,
+// scanner.Scan and scanner.DetectInvalidSCTs — bounds every fan-out
+// (GOMAXPROCS by default, 1 forces the sequential path);
 // every pipeline merges its partials deterministically, so output is
 // identical at any setting (the equivalence tests in
 // parallel_replay_test.go and parallel_equivalence_test.go assert this

@@ -14,27 +14,29 @@ import (
 	"ctrise/internal/asn"
 	"ctrise/internal/dnssim"
 	"ctrise/internal/psl"
+	"ctrise/internal/stats"
 	"ctrise/internal/subenum"
 )
 
 func main() {
 	list := psl.Default()
 
-	// A toy CT corpus: names extracted from certificates.
-	corpus := map[string]struct{}{}
+	// A toy CT corpus: names extracted from certificates, deduplicated
+	// in a sharded set as the harvest does.
+	corpus := stats.NewStringSet(0)
 	rng := rand.New(rand.NewSource(7))
 	labels := []string{"www", "mail", "webmail", "api", "dev"}
 	for i := 0; i < 200; i++ {
 		domain := fmt.Sprintf("site%03d.de", i)
-		corpus[domain] = struct{}{}
+		corpus.Add(domain)
 		for _, l := range labels {
 			if rng.Float64() < map[string]float64{"www": 0.95, "mail": 0.3, "webmail": 0.15, "api": 0.1, "dev": 0.1}[l] {
-				corpus[l+"."+domain] = struct{}{}
+				corpus.Add(l + "." + domain)
 			}
 		}
 	}
 
-	census := subenum.RunCensus(corpus, list)
+	census := subenum.RunCensus(corpus, list, 0)
 	fmt.Println("Top subdomain labels in the corpus (Table 2 shape):")
 	for i, kv := range census.Table2(5) {
 		fmt.Printf("  %d. %-8s %d\n", i+1, kv.Key, kv.Count)

@@ -69,7 +69,7 @@ var heatFrom, heatTo = Date(2018, 4, 1), Date(2018, 5, 1)
 // the exact harvest state and cursors.
 func TestCheckpointRoundTrip(t *testing.T) {
 	w := checkpointWorld(t)
-	h, err := w.HarvestLogs(heatFrom, heatTo)
+	h, err := w.HarvestLogs(heatFrom, heatTo, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // rejected rather than resumed from silently short state.
 func TestCheckpointRejectsTornFile(t *testing.T) {
 	w := checkpointWorld(t)
-	h, err := w.HarvestLogs(heatFrom, heatTo)
+	h, err := w.HarvestLogs(heatFrom, heatTo, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestCheckpointRejectsTornFile(t *testing.T) {
 // produces the identical harvest to the one-shot parallel crawl.
 func TestHarvestLogsResumableMatchesParallel(t *testing.T) {
 	w := checkpointWorld(t)
-	want, err := w.HarvestLogs(heatFrom, heatTo)
+	want, err := w.HarvestLogs(heatFrom, heatTo, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestResumableRefusesRolledBackLog(t *testing.T) {
 // no gaps, no double counting.
 func TestHarvestKilledAndResumedIsGapFree(t *testing.T) {
 	w := checkpointWorld(t)
-	want, err := w.HarvestLogs(heatFrom, heatTo)
+	want, err := w.HarvestLogs(heatFrom, heatTo, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

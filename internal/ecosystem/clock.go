@@ -7,9 +7,9 @@
 //
 // The harvest side of the package is a concurrent pipeline: HarvestLogs
 // chunks every log's published entries into ranges, streams them
-// lock-free via ctlog.Log.StreamEntries across Config.Parallelism
+// lock-free via ctlog.Log.StreamEntries across a bounded number of
 // workers (GOMAXPROCS by default), dedupes FQDNs in a sharded set, and
-// merges the workers' private partial aggregates deterministically —
+// merges the ranges' private partial aggregates in range order —
 // harvest output is identical at any parallelism setting.
 //
 // The generation side fans out the same way on the deterministic

@@ -220,7 +220,7 @@ func TestTimelineShapes(t *testing.T) {
 	if days != 49 {
 		t.Fatalf("days = %d", days)
 	}
-	h, err := w.HarvestLogs(Date(2018, 4, 1), Date(2018, 5, 1))
+	h, err := w.HarvestLogs(Date(2018, 4, 1), Date(2018, 5, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

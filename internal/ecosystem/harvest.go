@@ -1,9 +1,7 @@
 package ecosystem
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ctrise/internal/certs"
@@ -74,7 +72,7 @@ type harvestTask struct {
 	start, end uint64 // inclusive
 }
 
-// partialHarvest is one worker's private, lock-free aggregate. Workers
+// partialHarvest is one work unit's private, lock-free aggregate. Workers
 // never share these; the merge step folds them into the final Harvest.
 type partialHarvest struct {
 	// dayCounts is org → day → precert count (the DaySeries rows).
@@ -163,22 +161,14 @@ func (p *partialHarvest) mergeInto(h *Harvest) {
 	}
 }
 
-// HarvestLogs walks every log and aggregates, fanning out over
-// Config.Parallelism workers (GOMAXPROCS when 0). heatFrom/heatTo bound
-// the Figure 1c window (the paper uses April 2018).
-func (w *World) HarvestLogs(heatFrom, heatTo time.Time) (*Harvest, error) {
-	return w.HarvestLogsParallel(heatFrom, heatTo, w.Cfg.Parallelism)
-}
-
-// HarvestLogsParallel is HarvestLogs with an explicit worker bound:
-// 0 means GOMAXPROCS, 1 runs the crawl inline. Every log is chunked into
-// harvestChunk-entry ranges streamed lock-free below the published STH;
-// workers pull chunks off a shared cursor, build private partial
-// harvests, and the partials merge deterministically at the end.
-func (w *World) HarvestLogsParallel(heatFrom, heatTo time.Time, parallelism int) (*Harvest, error) {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
+// HarvestLogs walks every log and aggregates. heatFrom/heatTo bound the
+// Figure 1c window (the paper uses April 2018). Every log is chunked into
+// harvestChunk-entry ranges streamed lock-free below the published STH
+// across parallelism workers (0 means GOMAXPROCS, 1 runs the crawl
+// inline); each range builds a private partial harvest, and the partials
+// merge in range order, so the harvest and any error it returns are the
+// same at every setting.
+func (w *World) HarvestLogs(heatFrom, heatTo time.Time, parallelism int) (*Harvest, error) {
 	h := NewHarvest(heatFrom, heatTo)
 
 	var tasks []harvestTask
@@ -193,60 +183,20 @@ func (w *World) HarvestLogsParallel(heatFrom, heatTo time.Time, parallelism int)
 			tasks = append(tasks, harvestTask{logName: name, log: l, start: start, end: end})
 		}
 	}
-	if parallelism > len(tasks) {
-		parallelism = len(tasks)
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
 
-	names := h.NameSet
-	run := func(p *partialHarvest, t harvestTask) error {
-		return t.log.StreamEntries(t.start, t.end, func(e *ctlog.Entry) error {
-			p.observe(h, names, t.logName, e)
+	partials := make([]*partialHarvest, len(tasks))
+	var firstErr FirstError
+	ForEach(len(tasks), parallelism, func(i int) {
+		t, p := tasks[i], newPartialHarvest()
+		partials[i] = p
+		firstErr.Record(i, t.log.StreamEntries(t.start, t.end, func(e *ctlog.Entry) error {
+			p.observe(h, h.NameSet, t.logName, e)
 			return nil
-		})
+		}))
+	})
+	if err := firstErr.Err(); err != nil {
+		return nil, err
 	}
-
-	partials := make([]*partialHarvest, parallelism)
-	if parallelism == 1 {
-		partials[0] = newPartialHarvest()
-		for _, t := range tasks {
-			if err := run(partials[0], t); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		var (
-			cursor   atomic.Int64
-			wg       sync.WaitGroup
-			errOnce  sync.Once
-			firstErr error
-		)
-		for i := 0; i < parallelism; i++ {
-			wg.Add(1)
-			go func(slot int) {
-				defer wg.Done()
-				p := newPartialHarvest()
-				partials[slot] = p
-				for {
-					n := int(cursor.Add(1)) - 1
-					if n >= len(tasks) {
-						return
-					}
-					if err := run(p, tasks[n]); err != nil {
-						errOnce.Do(func() { firstErr = err })
-						return
-					}
-				}
-			}(i)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-	}
-
 	for _, p := range partials {
 		p.mergeInto(h)
 	}

@@ -36,7 +36,7 @@ func TestHarvestToleratesForeignEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h, err := w.HarvestLogs(Date(2018, 4, 1), Date(2018, 5, 1))
+	h, err := w.HarvestLogs(Date(2018, 4, 1), Date(2018, 5, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestHarvestDaysWithinTimeline(t *testing.T) {
 	if err := w.RunTimeline(nil); err != nil {
 		t.Fatal(err)
 	}
-	h, err := w.HarvestLogs(Date(2018, 4, 1), Date(2018, 5, 1))
+	h, err := w.HarvestLogs(Date(2018, 4, 1), Date(2018, 5, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

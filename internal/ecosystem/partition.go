@@ -11,7 +11,8 @@ import (
 
 // This file is the deterministic fan-out layer shared by the generation
 // pipelines (the Figure 2 traffic replay, the issuance timeline, the
-// Section 3.3 scan sweep). It separates three concerns so that parallel
+// Section 3.3 scan sweep) and the analysis pipelines (the log harvest,
+// the Section 4 census and enumeration). It separates three concerns so that parallel
 // output is identical to sequential output at any worker count and under
 // any scheduling:
 //

@@ -33,9 +33,9 @@ type Config struct {
 	// (submissions/second of virtual time) to reproduce the overload
 	// incident.
 	NimbusCapacity float64
-	// Parallelism bounds the worker count of both data planes: the
-	// issuance replay (RunTimeline) and the harvest-and-analysis crawl
-	// (HarvestLogs). 0 means GOMAXPROCS; 1 forces the sequential paths.
+	// Parallelism bounds the worker count of the issuance replay
+	// (RunTimeline); the harvest-and-analysis crawl takes its own bound
+	// (HarvestLogs). 0 means GOMAXPROCS; 1 forces the sequential path.
 	// Output is identical at every setting.
 	Parallelism int
 	// DataDir, when set, makes every log durable: each gets a WAL +

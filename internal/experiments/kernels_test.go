@@ -126,7 +126,7 @@ func TestBuildDNSWorldMatchesSerialBuilder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	census := subenum.RunCensusSet(h.NameSet, w.PSL, 0)
+	census := subenum.RunCensus(h.NameSet, w.PSL, 0)
 	minCount := census.Labels.Get("www") / 600
 	if minCount < 3 {
 		minCount = 3

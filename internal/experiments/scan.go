@@ -47,11 +47,11 @@ func (s *Suite) Scan() (*ScanResult, error) {
 	for name, l := range w.Logs {
 		names[l.LogID()] = name
 	}
-	st, err := scanner.ScanParallel(sites, names, s.opts.Parallelism)
+	st, err := scanner.Scan(sites, names, s.opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
-	invalid, err := scanner.DetectInvalidSCTsParallel(sites, w.Verifiers(), s.opts.Parallelism)
+	invalid, err := scanner.DetectInvalidSCTs(sites, w.Verifiers(), s.opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}

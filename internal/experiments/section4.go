@@ -67,7 +67,7 @@ func (s *Suite) Section4() (*Section4Result, error) {
 	}
 	// Zero-copy handoff: the census consumes the harvest's sharded FQDN
 	// set in place instead of materializing the corpus into a map.
-	census := subenum.RunCensusSet(h.NameSet, w.PSL, s.opts.Parallelism)
+	census := subenum.RunCensus(h.NameSet, w.PSL, s.opts.Parallelism)
 	res := &Section4Result{
 		Census:       census,
 		Table2:       census.Table2(20),

@@ -83,7 +83,7 @@ func (s *Suite) World() (*ecosystem.World, *ecosystem.Harvest, error) {
 		s.worldErr = err
 		return nil, nil, err
 	}
-	h, err := w.HarvestLogs(ecosystem.Date(2018, 4, 1), ecosystem.Date(2018, 5, 1))
+	h, err := w.HarvestLogs(ecosystem.Date(2018, 4, 1), ecosystem.Date(2018, 5, 1), s.opts.Parallelism)
 	if err != nil {
 		s.worldErr = err
 		return nil, nil, err

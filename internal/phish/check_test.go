@@ -54,7 +54,7 @@ func harvestNames(t *testing.T) []string {
 	if err := w.RunTimeline(nil); err != nil {
 		t.Fatal(err)
 	}
-	h, err := w.HarvestLogs(ecosystem.Date(2018, 3, 1), ecosystem.Date(2018, 4, 10))
+	h, err := w.HarvestLogs(ecosystem.Date(2018, 3, 1), ecosystem.Date(2018, 4, 10), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"ctrise/internal/certs"
 	"ctrise/internal/psl"
+	"ctrise/internal/stats"
 	"ctrise/internal/subenum"
 )
 
@@ -69,7 +70,11 @@ func TestRedactedCorpusLeaksNothing(t *testing.T) {
 	// The Table 2 census pipeline also recovers nothing: every subdomain
 	// label is the placeholder, which is not a valid FQDN label and is
 	// rejected, or the bare domain, which has no labels.
-	census := subenum.RunCensus(red, list)
+	redSet := stats.NewStringSet(0)
+	for n := range red {
+		redSet.Add(n)
+	}
+	census := subenum.RunCensus(redSet, list, 0)
 	for _, kv := range census.Table2(10) {
 		if kv.Key != "" && kv.Key != Placeholder {
 			t.Fatalf("census recovered label %q from redacted corpus", kv.Key)

@@ -6,16 +6,16 @@
 // against wildcard zones, CNAME chasing, routing-table filtering, and the
 // Sonar comparison.
 //
-// The census and the candidate construction both fan out over name
-// chunks (RunCensusParallel, ConstructConfig.Parallelism); every
-// aggregate they produce is additive, so parallel output is identical to
-// the sequential path at any worker count.
+// The census, the candidate construction and the verification all fan
+// out on ecosystem.ForEach (RunCensus's parallelism argument,
+// ConstructConfig.Parallelism, VerifyConfig.Parallelism); every
+// aggregate they produce is additive or merged in input order, so
+// parallel output is identical to the sequential path at any worker
+// count.
 package subenum
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"ctrise/internal/dnsname"
 	"ctrise/internal/ecosystem"
@@ -40,20 +40,12 @@ type Census struct {
 	Rejected uint64
 }
 
-// RunCensus parses a deduplicated CT name corpus with GOMAXPROCS-way
-// parallelism: it validates each FQDN, splits it at the registrable
-// domain per the PSL, and counts subdomain labels. Wildcard prefixes
-// ("*.") are stripped first, as certificate names often carry them.
-func RunCensus(names map[string]struct{}, list *psl.List) *Census {
-	return RunCensusParallel(names, list, 0)
-}
-
-// censusPartial is one worker's private aggregate over a chunk of names.
+// censusPartial is one worker's private aggregate over a shard of names.
 type censusPartial struct {
 	labels         map[string]uint64
 	labelsBySuffix map[string]map[string]uint64
 	// domains maps registrable domain → suffix; the merge step dedups
-	// across workers (two chunks may both see a domain).
+	// across workers (two shards may both see a domain).
 	domains    map[string]string
 	validFQDNs uint64
 	rejected   uint64
@@ -92,65 +84,16 @@ func (p *censusPartial) observe(raw string, list *psl.List) {
 	}
 }
 
-// runCensusChunk parses one chunk of names into a private aggregate.
-func runCensusChunk(names []string, list *psl.List) *censusPartial {
-	p := newCensusPartial()
-	for _, raw := range names {
-		p.observe(raw, list)
-	}
-	return p
-}
-
-// RunCensusParallel is RunCensus with an explicit worker bound (0 means
-// GOMAXPROCS, 1 runs inline). The corpus is split into chunks, each
-// worker builds a private aggregate, and the merge is deterministic:
-// counts are additive and per-suffix domain lists are sorted.
-func RunCensusParallel(names map[string]struct{}, list *psl.List, parallelism int) *Census {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	all := make([]string, 0, len(names))
-	for raw := range names {
-		all = append(all, raw)
-	}
-
-	var partials []*censusPartial
-	if parallelism <= 1 || len(all) < 2*censusMinChunk {
-		partials = []*censusPartial{runCensusChunk(all, list)}
-	} else {
-		chunk := (len(all) + parallelism - 1) / parallelism
-		if chunk < censusMinChunk {
-			chunk = censusMinChunk
-		}
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		for lo := 0; lo < len(all); lo += chunk {
-			hi := lo + chunk
-			if hi > len(all) {
-				hi = len(all)
-			}
-			wg.Add(1)
-			go func(part []string) {
-				defer wg.Done()
-				p := runCensusChunk(part, list)
-				mu.Lock()
-				partials = append(partials, p)
-				mu.Unlock()
-			}(all[lo:hi])
-		}
-		wg.Wait()
-	}
-
-	return mergeCensusPartials(partials)
-}
-
-// RunCensusSet is the census over a sharded name set — the zero-copy
-// handoff from the harvest: instead of materializing the corpus into an
-// intermediate map[string]struct{}, workers consume the dedup set's
-// shards in place (each key lives in exactly one shard, so shards
-// partition the corpus). parallelism 0 means GOMAXPROCS; output is
-// identical to RunCensusParallel over a snapshot of the same set.
-func RunCensusSet(names *stats.StringSet, list *psl.List, parallelism int) *Census {
+// RunCensus parses a deduplicated CT name corpus: it validates each
+// FQDN, splits it at the registrable domain per the PSL, and counts
+// subdomain labels. Wildcard prefixes ("*.") are stripped first, as
+// certificate names often carry them. Workers consume the set's shards
+// in place — the zero-copy handoff from the harvest; each key lives in
+// exactly one shard, so shards partition the corpus. parallelism bounds
+// the workers (0 means GOMAXPROCS, 1 runs inline); counts are additive
+// and per-suffix domain lists are sorted, so the census is identical at
+// every setting.
+func RunCensus(names *stats.StringSet, list *psl.List, parallelism int) *Census {
 	shards := names.NumShards()
 	partials := make([]*censusPartial, shards)
 	ecosystem.ForEach(shards, parallelism, func(i int) {
@@ -196,10 +139,6 @@ func mergeCensusPartials(partials []*censusPartial) *Census {
 	return c
 }
 
-// censusMinChunk is the smallest chunk worth a goroutine; corpora below
-// twice this run inline.
-const censusMinChunk = 512
-
 // Table2 returns the top-k subdomain labels.
 func (c *Census) Table2(k int) []stats.KV { return c.Labels.TopK(k) }
 
@@ -228,40 +167,4 @@ func (c *Census) WordlistCoverage(wordlist []string) int {
 		}
 	}
 	return n
-}
-
-// concurrency is the default massdns-style resolver fan-out used by
-// Verify (VerifyConfig.Parallelism overrides it).
-const concurrency = 16
-
-// parallelForEach runs fn over items with the given worker count,
-// splitting items into contiguous per-worker chunks (no channel traffic
-// on the hot path). workers <= 1 runs inline. Results are accumulated by
-// the caller under its own synchronization.
-func parallelForEach[T any](items []T, workers int, fn func(T)) {
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers <= 1 {
-		for _, it := range items {
-			fn(it)
-		}
-		return
-	}
-	chunk := (len(items) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(items); lo += chunk {
-		hi := lo + chunk
-		if hi > len(items) {
-			hi = len(items)
-		}
-		wg.Add(1)
-		go func(part []T) {
-			defer wg.Done()
-			for _, it := range part {
-				fn(it)
-			}
-		}(items[lo:hi])
-	}
-	wg.Wait()
 }

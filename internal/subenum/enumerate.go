@@ -3,12 +3,12 @@ package subenum
 import (
 	"math/rand"
 	"net"
-	"runtime"
 	"sort"
 
 	"ctrise/internal/dnsmsg"
 	"ctrise/internal/dnsname"
 	"ctrise/internal/dnssim"
+	"ctrise/internal/ecosystem"
 	"ctrise/internal/stats"
 )
 
@@ -34,9 +34,6 @@ func (c *ConstructConfig) setDefaults() {
 	}
 	if c.SkipSuffixes == nil {
 		c.SkipSuffixes = map[string]bool{"com": true, "net": true, "org": true}
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -65,7 +62,7 @@ func Construct(census *Census, domainsBySuffix map[string][]string, cfg Construc
 	// built in parallel and concatenated in label order — the same list
 	// a sequential loop produces.
 	perLabel := make([][]Candidate, len(labels))
-	parallelForEach(seq(len(labels)), cfg.Parallelism, func(i int) {
+	ecosystem.ForEach(len(labels), cfg.Parallelism, func(i int) {
 		perLabel[i] = constructLabel(census, domainsBySuffix, cfg, labels[i])
 	})
 	var total int
@@ -139,6 +136,15 @@ type VerifyConfig struct {
 	Parallelism int
 }
 
+// concurrency is the default massdns-style resolver fan-out used by
+// Verify (VerifyConfig.Parallelism overrides it).
+const concurrency = 16
+
+// verifyChunk is the number of names one verification work unit
+// resolves: large enough that claiming a unit costs nothing next to the
+// lookups, small enough to balance the resolver fan-out.
+const verifyChunk = 1024
+
 func (c *VerifyConfig) setDefaults() {
 	if c.MaxCNAME <= 0 {
 		c.MaxCNAME = 10
@@ -192,8 +198,11 @@ func Verify(candidates []Candidate, universe *dnssim.Universe, routes RouteCheck
 	sort.Slice(ctls, func(i, j int) bool { return ctls[i].domain < ctls[j].domain })
 	// Index-aligned results: each worker writes its own slots, no lock.
 	ctlOK := make([]bool, len(ctls))
-	parallelForEach(seq(len(ctls)), cfg.Parallelism, func(i int) {
-		ctlOK[i], _ = resolves(universe, dnsname.Prepend(ctls[i].label, ctls[i].domain), routes, cfg.MaxCNAME)
+	ctlChunks := ecosystem.Ranges(len(ctls), verifyChunk)
+	ecosystem.ForEach(len(ctlChunks), cfg.Parallelism, func(ci int) {
+		for i := ctlChunks[ci].Lo; i < ctlChunks[ci].Hi; i++ {
+			ctlOK[i], _ = resolves(universe, dnsname.Prepend(ctls[i].label, ctls[i].domain), routes, cfg.MaxCNAME)
+		}
 	})
 	controlResolves := make(map[string]bool, len(ctls))
 	for i, dc := range ctls {
@@ -206,26 +215,11 @@ func Verify(candidates []Candidate, universe *dnssim.Universe, routes RouteCheck
 		testAnswers, controlAnswers, unrouted uint64
 		newNames                              []string
 	}
-	workers := cfg.Parallelism
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	chunk := (len(candidates) + workers - 1) / workers
-	nChunks := 0
-	if len(candidates) > 0 {
-		nChunks = (len(candidates) + chunk - 1) / chunk
-	}
-	parts := make([]verifyPartial, nChunks)
-	parallelForEach(seq(nChunks), workers, func(ci int) {
-		lo, hi := ci*chunk, (ci+1)*chunk
-		if hi > len(candidates) {
-			hi = len(candidates)
-		}
+	chunks := ecosystem.Ranges(len(candidates), verifyChunk)
+	parts := make([]verifyPartial, len(chunks))
+	ecosystem.ForEach(len(chunks), cfg.Parallelism, func(ci int) {
 		p := &parts[ci]
-		for _, c := range candidates[lo:hi] {
+		for _, c := range candidates[chunks[ci].Lo:chunks[ci].Hi] {
 			ok, dropped := resolves(universe, c.FQDN, routes, cfg.MaxCNAME)
 			if dropped {
 				p.unrouted++
@@ -253,16 +247,6 @@ func Verify(candidates []Candidate, universe *dnssim.Universe, routes RouteCheck
 	sort.Strings(newNames)
 	res.NewFQDNs = newNames
 	return res
-}
-
-// seq returns [0, 1, ..., n-1], the index slice the parallel loops
-// iterate over.
-func seq(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // resolves performs one massdns-style lookup: A record, CNAME chase,

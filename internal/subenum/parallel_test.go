@@ -7,21 +7,22 @@ import (
 	"testing"
 
 	"ctrise/internal/psl"
+	"ctrise/internal/stats"
 )
 
-// syntheticCorpus builds a corpus large enough to cross the parallel
-// census's chunking threshold, spread over several suffixes and labels.
-func syntheticCorpus(n int) map[string]struct{} {
+// syntheticCorpus builds a corpus spread over several suffixes and
+// labels, large enough that every shard of the set holds names.
+func syntheticCorpus(n int) *stats.StringSet {
 	labels := []string{"www", "mail", "api", "dev", "shop", "vpn", "git", "autoconfig"}
 	suffixes := []string{"de", "nl", "fr", "it", "tech", "cloud", "co.uk"}
 	rng := rand.New(rand.NewSource(99))
-	corpus := make(map[string]struct{}, n)
+	corpus := stats.NewStringSet(0)
 	for i := 0; i < n; i++ {
 		dom := fmt.Sprintf("dom%d.%s", i%700, suffixes[rng.Intn(len(suffixes))])
-		corpus[dom] = struct{}{}
-		corpus[labels[rng.Intn(len(labels))]+"."+dom] = struct{}{}
+		corpus.Add(dom)
+		corpus.Add(labels[rng.Intn(len(labels))] + "." + dom)
 		if i%17 == 0 {
-			corpus["not_valid..name-"+fmt.Sprint(i)] = struct{}{}
+			corpus.Add("not_valid..name-" + fmt.Sprint(i))
 		}
 	}
 	return corpus
@@ -29,35 +30,39 @@ func syntheticCorpus(n int) map[string]struct{} {
 
 // The parallel census must produce exactly the sequential census: same
 // counts, same per-suffix breakdowns, same (sorted) domain lists, same
-// Table 2 rows. This also exercises the concurrent chunk workers under
+// Table 2 rows. This also exercises the concurrent shard workers under
 // -race.
 func TestRunCensusParallelEquivalence(t *testing.T) {
 	corpus := syntheticCorpus(3000)
 	list := psl.Default()
-	seq := RunCensusParallel(corpus, list, 1)
-	par := RunCensusParallel(corpus, list, 8)
-
-	if seq.ValidFQDNs != par.ValidFQDNs || seq.Rejected != par.Rejected {
-		t.Fatalf("valid/rejected: seq=%d/%d par=%d/%d",
-			seq.ValidFQDNs, seq.Rejected, par.ValidFQDNs, par.Rejected)
+	seq := RunCensus(corpus, list, 1)
+	if seq.ValidFQDNs == 0 || seq.Rejected == 0 {
+		t.Fatalf("corpus shape: valid=%d rejected=%d", seq.ValidFQDNs, seq.Rejected)
 	}
-	if !reflect.DeepEqual(seq.Labels.Snapshot(), par.Labels.Snapshot()) {
-		t.Fatal("label counters differ")
-	}
-	if len(seq.LabelsBySuffix) != len(par.LabelsBySuffix) {
-		t.Fatalf("suffix sets differ: %d vs %d", len(seq.LabelsBySuffix), len(par.LabelsBySuffix))
-	}
-	for suffix, sc := range seq.LabelsBySuffix {
-		pc := par.LabelsBySuffix[suffix]
-		if pc == nil || !reflect.DeepEqual(sc.Snapshot(), pc.Snapshot()) {
-			t.Fatalf("per-suffix counters differ for %q", suffix)
+	for _, p := range []int{8, 13} {
+		par := RunCensus(corpus, list, p)
+		if seq.ValidFQDNs != par.ValidFQDNs || seq.Rejected != par.Rejected {
+			t.Fatalf("parallelism %d: valid/rejected: seq=%d/%d par=%d/%d", p,
+				seq.ValidFQDNs, seq.Rejected, par.ValidFQDNs, par.Rejected)
 		}
-	}
-	if !reflect.DeepEqual(seq.DomainsBySuffix, par.DomainsBySuffix) {
-		t.Fatal("domain lists differ")
-	}
-	if !reflect.DeepEqual(seq.Table2(20), par.Table2(20)) {
-		t.Fatal("Table 2 rows differ")
+		if !reflect.DeepEqual(seq.Labels.Snapshot(), par.Labels.Snapshot()) {
+			t.Fatalf("parallelism %d: label counters differ", p)
+		}
+		if len(seq.LabelsBySuffix) != len(par.LabelsBySuffix) {
+			t.Fatalf("parallelism %d: suffix sets differ: %d vs %d", p, len(seq.LabelsBySuffix), len(par.LabelsBySuffix))
+		}
+		for suffix, sc := range seq.LabelsBySuffix {
+			pc := par.LabelsBySuffix[suffix]
+			if pc == nil || !reflect.DeepEqual(sc.Snapshot(), pc.Snapshot()) {
+				t.Fatalf("parallelism %d: per-suffix counters differ for %q", p, suffix)
+			}
+		}
+		if !reflect.DeepEqual(seq.DomainsBySuffix, par.DomainsBySuffix) {
+			t.Fatalf("parallelism %d: domain lists differ", p)
+		}
+		if !reflect.DeepEqual(seq.Table2(20), par.Table2(20)) {
+			t.Fatalf("parallelism %d: Table 2 rows differ", p)
+		}
 	}
 }
 
@@ -65,7 +70,7 @@ func TestRunCensusParallelEquivalence(t *testing.T) {
 // any parallelism.
 func TestConstructParallelEquivalence(t *testing.T) {
 	corpus := syntheticCorpus(3000)
-	c := RunCensus(corpus, psl.Default())
+	c := RunCensus(corpus, psl.Default(), 0)
 	domains := map[string][]string{}
 	for suffix, ds := range c.DomainsBySuffix {
 		domains[suffix] = ds

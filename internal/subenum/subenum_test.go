@@ -8,14 +8,15 @@ import (
 
 	"ctrise/internal/dnssim"
 	"ctrise/internal/psl"
+	"ctrise/internal/stats"
 )
 
-func corpusFromNames(names ...string) map[string]struct{} {
-	m := make(map[string]struct{}, len(names))
+func corpusFromNames(names ...string) *stats.StringSet {
+	s := stats.NewStringSet(0)
 	for _, n := range names {
-		m[n] = struct{}{}
+		s.Add(n)
 	}
-	return m
+	return s
 }
 
 func TestCensusCountsLabels(t *testing.T) {
@@ -27,7 +28,7 @@ func TestCensusCountsLabels(t *testing.T) {
 		"not_a_valid..name",   // rejected
 		"singlelabel",         // rejected
 	)
-	c := RunCensus(corpus, psl.Default())
+	c := RunCensus(corpus, psl.Default(), 0)
 	if c.Labels.Get("www") != 3 {
 		t.Fatalf("www = %d", c.Labels.Get("www"))
 	}
@@ -51,7 +52,7 @@ func TestCensusPerSuffix(t *testing.T) {
 		"git.one.tech", "git.two.tech", "www.one.tech",
 		"api.one.cloud", "api.two.cloud",
 	)
-	c := RunCensus(corpus, psl.Default())
+	c := RunCensus(corpus, psl.Default(), 0)
 	tops := c.TopLabelPerSuffix(2)
 	if tops["tech"] != "git" {
 		t.Fatalf("tech top = %q", tops["tech"])
@@ -67,7 +68,7 @@ func TestCensusPerSuffix(t *testing.T) {
 
 func TestWordlistCoverage(t *testing.T) {
 	corpus := corpusFromNames("www.a.de", "mail.a.de", "obscure-xyz.a.de")
-	c := RunCensus(corpus, psl.Default())
+	c := RunCensus(corpus, psl.Default(), 0)
 	wordlist := []string{"www", "mail", "ftp", "intranet", "backup"}
 	if got := c.WordlistCoverage(wordlist); got != 2 {
 		t.Fatalf("coverage = %d", got)
@@ -76,18 +77,18 @@ func TestWordlistCoverage(t *testing.T) {
 
 func TestConstructStrategy(t *testing.T) {
 	// Corpus: "mail" frequent in .de and .nl; "rare" label below threshold.
-	corpus := make(map[string]struct{})
+	corpus := stats.NewStringSet(0)
 	for i := 0; i < 10; i++ {
-		corpus[fmt.Sprintf("mail.dom%d.de", i)] = struct{}{}
+		corpus.Add(fmt.Sprintf("mail.dom%d.de", i))
 	}
 	for i := 0; i < 5; i++ {
-		corpus[fmt.Sprintf("mail.dom%d.nl", i)] = struct{}{}
+		corpus.Add(fmt.Sprintf("mail.dom%d.nl", i))
 	}
-	corpus["rare.x.de"] = struct{}{}
+	corpus.Add("rare.x.de")
 	for i := 0; i < 20; i++ {
-		corpus[fmt.Sprintf("mail.gen%d.com", i)] = struct{}{} // .com is skipped
+		corpus.Add(fmt.Sprintf("mail.gen%d.com", i)) // .com is skipped
 	}
-	c := RunCensus(corpus, psl.Default())
+	c := RunCensus(corpus, psl.Default(), 0)
 
 	domains := map[string][]string{
 		"de":  {"known1.de", "known2.de"},
@@ -113,14 +114,14 @@ func TestConstructStrategy(t *testing.T) {
 }
 
 func TestConstructTopSuffixesBound(t *testing.T) {
-	corpus := make(map[string]struct{})
+	corpus := stats.NewStringSet(0)
 	suffixes := []string{"de", "nl", "fr", "it", "es"}
 	for i, sfx := range suffixes {
 		for j := 0; j <= i*3+5; j++ {
-			corpus[fmt.Sprintf("api.d%d.%s", j, sfx)] = struct{}{}
+			corpus.Add(fmt.Sprintf("api.d%d.%s", j, sfx))
 		}
 	}
-	c := RunCensus(corpus, psl.Default())
+	c := RunCensus(corpus, psl.Default(), 0)
 	domains := map[string][]string{}
 	for _, sfx := range suffixes {
 		domains[sfx] = []string{"k." + sfx}
@@ -237,7 +238,7 @@ func TestCompareSonar(t *testing.T) {
 
 func TestOverlapStats(t *testing.T) {
 	corpus := corpusFromNames("www.a.de", "mail.a.de", "www.b.de", "api.c.de")
-	c := RunCensus(corpus, psl.Default())
+	c := RunCensus(corpus, psl.Default(), 0)
 	sonar := SonarDB{
 		"www.a.de":  {},
 		"smtp.b.de": {},

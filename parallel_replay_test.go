@@ -192,11 +192,11 @@ func TestScannerParallelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := scanner.ScanParallel(sites, names, p)
+		st, err := scanner.Scan(sites, names, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		invalid, err := scanner.DetectInvalidSCTsParallel(sites, w.Verifiers(), p)
+		invalid, err := scanner.DetectInvalidSCTs(sites, w.Verifiers(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
