@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"ctrise/internal/ctlog"
@@ -363,7 +364,9 @@ func (c *Client) VerifyInclusion(ctx context.Context, entry *ctlog.Entry, sth ct
 // Monitor tails a log, fetching new entries as the STH advances, and
 // checks consistency between successive tree heads. It is the building
 // block for both the Section 2 harvester and the Section 6 attacker
-// agents.
+// agents. Poll and Stream must not run concurrently with each other;
+// NextIndex, LastSTH, SetLastSTH and EntriesSeen may be called at any
+// time, also while a Poll is running.
 type Monitor struct {
 	Client *Client
 	// Batch caps the entries requested per get-entries call. 0 requests
@@ -384,7 +387,11 @@ type Monitor struct {
 	// lockstep. NewMonitor defaults to 100ms.
 	RetryBase time.Duration
 
-	lastSTH *ctlog.SignedTreeHead
+	// mu guards the cursor state below, which Poll advances while
+	// auditors and metrics scrapes read it from other goroutines. It is
+	// never held across a network call or the caller's callback.
+	mu      sync.Mutex
+	lastSTH *ctlog.SignedTreeHead // never mutated once stored
 	nextIdx uint64
 	entries uint64
 }
@@ -478,12 +485,20 @@ func NewMonitorAt(client *Client, next uint64) *Monitor {
 
 // NextIndex returns the first entry index the monitor has not yet
 // delivered — the cursor to persist in a harvest checkpoint.
-func (m *Monitor) NextIndex() uint64 { return m.nextIdx }
+func (m *Monitor) NextIndex() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.nextIdx
+}
 
 // LastSTH returns the most recently verified signed tree head, or nil if
 // no Poll has completed yet. Auditors persist it (with NextIndex) as
 // their verified-chain head.
-func (m *Monitor) LastSTH() *ctlog.SignedTreeHead { return m.lastSTH }
+func (m *Monitor) LastSTH() *ctlog.SignedTreeHead {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.lastSTH
+}
 
 // SetLastSTH seeds the monitor with a previously verified tree head —
 // the head of a persisted verified-STH chain — so the first Poll after a
@@ -491,11 +506,18 @@ func (m *Monitor) LastSTH() *ctlog.SignedTreeHead { return m.lastSTH }
 // of blindly adopting whatever the log serves now. Cross-restart fork
 // and rollback detection both hang off this anchor.
 func (m *Monitor) SetLastSTH(sth ctlog.SignedTreeHead) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.lastSTH = &sth
 }
 
-// EntriesSeen reports how many entries the monitor has consumed.
-func (m *Monitor) EntriesSeen() uint64 { return m.entries }
+// EntriesSeen reports how many entries the monitor has consumed. A Poll
+// in progress adds its entries when it returns.
+func (m *Monitor) EntriesSeen() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.entries
+}
 
 // StreamEntries fetches entries [start, end] (inclusive) over HTTP and
 // delivers them to fn strictly in index order, mirroring
@@ -572,8 +594,11 @@ func (m *Monitor) Poll(ctx context.Context, fn func(*ctlog.Entry) error) error {
 	}); err != nil {
 		return err
 	}
-	if m.lastSTH != nil {
-		last := m.lastSTH.TreeHead
+	m.mu.Lock()
+	lastSTH, start := m.lastSTH, m.nextIdx
+	m.mu.Unlock()
+	if lastSTH != nil {
+		last := lastSTH.TreeHead
 		switch {
 		case sth.TreeHead.TreeSize < last.TreeSize:
 			return fmt.Errorf("%w: had size %d, got %d", ErrRollback, last.TreeSize, sth.TreeHead.TreeSize)
@@ -605,20 +630,19 @@ func (m *Monitor) Poll(ctx context.Context, fn func(*ctlog.Entry) error) error {
 			}
 		}
 	}
-	if sth.TreeHead.TreeSize > m.nextIdx {
-		next, err := m.StreamEntries(ctx, m.nextIdx, sth.TreeHead.TreeSize-1, func(e *ctlog.Entry) error {
-			if err := fn(e); err != nil {
-				return err
-			}
-			m.entries++
-			return nil
-		})
-		// Record progress even on error so a retried Poll resumes from
-		// the first undelivered entry instead of re-fetching.
-		m.nextIdx = next
-		if err != nil {
-			return err
-		}
+	next, err := start, error(nil)
+	if sth.TreeHead.TreeSize > start {
+		next, err = m.StreamEntries(ctx, start, sth.TreeHead.TreeSize-1, fn)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	// Record progress even on error so a retried Poll resumes from the
+	// first undelivered entry instead of re-fetching. StreamEntries
+	// delivers [start, next) gap-free, so that is also the entry count.
+	m.nextIdx = next
+	m.entries += next - start
+	if err != nil {
+		return err
 	}
 	m.lastSTH = &sth
 	return nil

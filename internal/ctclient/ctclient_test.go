@@ -350,6 +350,65 @@ func TestMonitorStreamEntriesPagesGapFree(t *testing.T) {
 	}
 }
 
+// TestMonitorPollConcurrentReaders: the cursor accessors are safe to
+// call while Poll runs (auditors read them from metrics scrapes and
+// gossip), and what they report only ever moves forward.
+func TestMonitorPollConcurrentReaders(t *testing.T) {
+	e := newEnv(t, ctlog.Config{})
+	ctx := context.Background()
+	mon := NewMonitor(e.client)
+	mon.Batch = 2
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		var lastNext, lastSeen, lastSize uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			next, seen := mon.NextIndex(), mon.EntriesSeen()
+			var size uint64
+			if sth := mon.LastSTH(); sth != nil {
+				size = sth.TreeHead.TreeSize
+			}
+			if next < lastNext || seen < lastSeen || size < lastSize {
+				t.Errorf("cursor moved backwards: next %d→%d, seen %d→%d, size %d→%d",
+					lastNext, next, lastSeen, seen, lastSize, size)
+				return
+			}
+			lastNext, lastSeen, lastSize = next, seen, size
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+
+	var total uint64
+	for round := 0; round < 5; round++ {
+		for i := 0; i < 3; i++ {
+			if _, err := e.client.AddChain(ctx, []byte(fmt.Sprintf("c-%d-%d", round, i))); err != nil {
+				t.Fatal(err)
+			}
+			total++
+			e.now = e.now.Add(time.Second)
+		}
+		e.now = e.now.Add(time.Minute)
+		if _, err := e.log.PublishSTH(); err != nil {
+			t.Fatal(err)
+		}
+		if err := mon.Poll(ctx, func(*ctlog.Entry) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if mon.NextIndex() != total || mon.EntriesSeen() != total || mon.LastSTH().TreeHead.TreeSize != total {
+		t.Fatalf("after %d entries: next %d, seen %d, size %d",
+			total, mon.NextIndex(), mon.EntriesSeen(), mon.LastSTH().TreeHead.TreeSize)
+	}
+}
+
 // A canceled context stops the entry loop mid-page: remaining entries of
 // an already-fetched batch are not delivered.
 func TestMonitorPollStopsMidPageOnCancel(t *testing.T) {
