@@ -12,9 +12,9 @@ import (
 // This file is the deterministic fan-out layer shared by the generation
 // pipelines (the Figure 2 traffic replay, the issuance timeline, the
 // Section 3.3 scan sweep) and the analysis pipelines (the log harvest,
-// the Section 4 census and enumeration). It separates three concerns so that parallel
-// output is identical to sequential output at any worker count and under
-// any scheduling:
+// the Section 4 census and enumeration). It separates three concerns so
+// that parallel output is identical to sequential output at any worker
+// count and under any scheduling:
 //
 //   - Partitioning: work is split into contiguous index ranges whose
 //     boundaries depend only on the input size, never on the worker

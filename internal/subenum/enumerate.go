@@ -143,7 +143,7 @@ const concurrency = 16
 // verifyChunk is the number of names one verification work unit
 // resolves: large enough that claiming a unit costs nothing next to the
 // lookups, small enough to balance the resolver fan-out.
-const verifyChunk = 1024
+const verifyChunk = 256
 
 func (c *VerifyConfig) setDefaults() {
 	if c.MaxCNAME <= 0 {
